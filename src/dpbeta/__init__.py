@@ -59,13 +59,10 @@ from .mechanisms import (
     worst_case_log_ratio,
 )
 from .model import (
-    DegreeSequence,
-    ParamVector,
     WeightedGraph,
     degree_jacobian,
     edge_weight_pmf,
     expected_degrees,
-    jacobian_entry_bounds,
     log_likelihood,
     mean_weight,
     sample_graph,
@@ -78,7 +75,6 @@ __all__ = [
     "ContrastCI",
     "DataError",
     "DegreeRelease",
-    "DegreeSequence",
     "EdgeListError",
     "ExperimentResult",
     "ExperimentSpec",
@@ -86,7 +82,6 @@ __all__ = [
     "InverseApproxReport",
     "NoiseMechanism",
     "PairSummary",
-    "ParamVector",
     "PruneResult",
     "RateRow",
     "SingleCI",
@@ -103,7 +98,6 @@ __all__ = [
     "epsilon_schedule",
     "expected_degrees",
     "inverse_approximation",
-    "jacobian_entry_bounds",
     "log_likelihood",
     "mean_weight",
     "normal_quantile",

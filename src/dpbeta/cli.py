@@ -347,7 +347,10 @@ def _cmd_fit(args) -> int:
     q = args.q if args.q is not None else payload.get("q")
     if q is None:
         raise EdgeListError("release file lacks q; pass --q.")
-    fit = solve(payload["d_bar"], int(q), tol=args.tol, max_iter=args.max_iter)
+    d_bar = np.asarray(payload["d_bar"], dtype=float)
+    if not np.all(np.isfinite(d_bar)):
+        raise DataError(f"release file {args.input}: d_bar holds non-finite values.")
+    fit = solve(d_bar, int(q), tol=args.tol, max_iter=args.max_iter)
     out = Path(args.out)
     out.write_text(fit.to_json() + "\n", encoding="utf-8")
     write_manifest(

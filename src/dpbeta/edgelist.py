@@ -132,10 +132,6 @@ class PruneResult:
     removed: list[int]
     kept: list[int]
 
-    def original_label(self, new_index: int) -> int:
-        """1-based original id of a node in the pruned graph."""
-        return self.kept[new_index] + 1
-
 
 def prune_isolated(graph: WeightedGraph) -> PruneResult:
     """Drop all nodes with degree zero, reindexing the survivors.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -101,7 +102,8 @@ def solve(
     Parameters
     ----------
     d_bar:
-        Noisy degree sequence, length n >= 2.
+        Noisy degree sequence, length n >= 2; a non-finite entry raises
+        ValueError.
     q:
         Weight-class count of the generating model.
     init:
@@ -127,6 +129,8 @@ def solve(
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
         raise ValueError("d_bar must be a vector of length >= 2.")
+    if not np.all(np.isfinite(d_bar)):
+        raise ValueError("d_bar must contain only finite values.")
     if tol <= 0:
         raise ValueError("tol must be > 0.")
     n = d_bar.shape[0]
@@ -206,73 +210,17 @@ def _diverged(n, q, tol, iterations, fnorm) -> FitResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# normal quantile (rational approximation, then one exact-CDF refinement)
-# ---------------------------------------------------------------------------
-
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
 def normal_quantile(p: float) -> float:
     """Standard normal quantile for p in (0, 1).
 
-    Rational approximation (relative error below 1.2e-9) polished with one
-    Halley step against the exact erfc-based CDF.
+    Wichura's AS241 algorithm from the standard library, good to about 1e-16
+    relative; ``scipy.special.ndtri`` agrees to 2e-15 but its import adds
+    about 60 ms and 4 MB to every process.
     """
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly in (0, 1).")
-    p_low = 0.02425
-    if p < p_low:
-        u = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]
-        ) / ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-    elif p <= 1.0 - p_low:
-        u = p - 0.5
-        r = u * u
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * u
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(
-            ((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]
-        ) / ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0)
-
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    grad = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - grad / (1.0 + x * grad / 2.0)
+    return NormalDist().inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------

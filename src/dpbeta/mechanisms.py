@@ -26,8 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DegreeSequence
-
 DEGREE_SENSITIVITY = 2
 
 
@@ -303,7 +301,7 @@ def release_degrees(
     Parameters
     ----------
     d:
-        True degree sequence (DegreeSequence or integer array-like).
+        True degree sequence (integer array-like).
     mechanism:
         Calibrated noise mechanism; with sensitivity 2 the release is
         epsilon-edge differentially private by construction.
@@ -313,8 +311,6 @@ def release_degrees(
         Weight-class count of the generating graph, recorded for downstream
         fitting.
     """
-    if isinstance(d, DegreeSequence):
-        d = d.d
     d = np.asarray(d, dtype=np.int64)
     e = sample_noise(mechanism, d.shape[0], seed)
     stored_seed = seed if isinstance(seed, int) else None

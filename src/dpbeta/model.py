@@ -3,29 +3,31 @@
 Edge weights take values in {0, ..., q-1}. Each unordered pair (i, j) draws
 its weight independently with
 
-    P(a_ij = a) = exp(a * (alpha_i + alpha_j)) / sum_k exp(k * (alpha_i + alpha_j)),
+    P(a_ij = k) = exp(k * s) / sum_l exp(l * s),    s = alpha_i + alpha_j,
 
 so the degree sequence d_i = sum_{j != i} a_ij is sufficient for alpha.
 This module provides the distribution itself, graph sampling, the expected
 degree map, its Jacobian (which equals the covariance matrix of d), and the
 log-likelihood.
 
-All exponentials are evaluated after subtracting the largest exponent, so
-every function here is safe for arbitrarily large |alpha_i + alpha_j|.
+Each of these is a moment of that one q-class softmax, and all of them come
+from one kernel, ``_shifted_exponentials``: for pair sums s it returns the
+terms t_k = exp(k * s - shift), k < q, with shift = (q-1) * max(s, 0), and
+their sum den.  The shift is the largest exponent, so no term overflows and
+den lies in [1, q]; every function here is safe for arbitrarily large
+|alpha_i + alpha_j|.  Pair quantities are evaluated on the i < j pairs only
+and then scattered to the nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 
 def _as_alpha(alpha) -> np.ndarray:
-    """Coerce a ParamVector or array-like to a 1-D float array."""
-    if isinstance(alpha, ParamVector):
-        return alpha.alpha
+    """Coerce an array-like to a 1-D float array of finite values."""
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 1:
         raise ValueError("alpha must be a one-dimensional vector.")
@@ -91,77 +93,29 @@ class WeightedGraph:
         return int(np.count_nonzero(np.triu(self.weights, 1)))
 
 
-@dataclass
-class ParamVector:
-    """Node parameter vector, optionally tagged with a feasibility bound.
+def _shifted_exponentials(s, q: int):
+    """The edge-weight softmax at pair sums s, as (t, shift, den).
 
-    When ``q_bound`` is set, the vector is considered feasible if
-    -q_bound <= alpha_i + alpha_j <= q_bound for every pair i < j.  The bound
-    is metadata used by diagnostics; estimation never projects onto it.
+    t[k] = exp(k*s - shift) for k < q, with shift = (q-1) * max(s, 0) the
+    largest exponent, so the largest term is exactly 1 and den = sum_k t[k]
+    lies in [1, q].  P(a = k) = t[k] / den and log Z(s) = shift + log(den).
+    The class index k is the leading axis of t, so every moment is a short
+    sum of contiguous arrays.
     """
-
-    alpha: np.ndarray
-    q_bound: Optional[float] = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("alpha must be a one-dimensional vector.")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("alpha must contain only finite values.")
-        self.alpha = arr
-        if self.q_bound is not None:
-            self.q_bound = float(self.q_bound)
-            if self.q_bound < 0:
-                raise ValueError("q_bound must be >= 0.")
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
-
-    def in_box(self) -> bool:
-        """Whether all pairwise sums lie inside the declared bound."""
-        if self.q_bound is None:
-            raise ValueError("no q_bound declared for this vector.")
-        s = self.alpha[:, None] + self.alpha[None, :]
-        iu = np.triu_indices(self.n, 1)
-        pair_sums = s[iu]
-        return bool(
-            np.all(pair_sums >= -self.q_bound) and np.all(pair_sums <= self.q_bound)
-        )
-
-
-@dataclass
-class DegreeSequence:
-    """Integer degree sequence of a weighted graph."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.d)
-        if arr.ndim != 1:
-            raise ValueError("d must be a one-dimensional vector.")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.round(arr)):
-                raise ValueError("degrees must be integers.")
-        self.d = arr.astype(np.int64)
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
-
-def _stable_exponents(s: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (shift, den) where den = sum_a exp(a*s - shift) in [1, q].
-
-    shift = max_a (a*s) = (q-1) * max(s, 0), so no term overflows and the
-    largest term is exactly 1.
-    """
+    s = np.asarray(s, dtype=float)
     shift = (q - 1) * np.maximum(s, 0.0)
-    den = np.zeros_like(s, dtype=float)
-    for a in range(q):
-        den += np.exp(a * s - shift)
-    return shift, den
+    t = np.multiply.outer(np.arange(q, dtype=float), s)
+    t -= shift
+    np.exp(t, out=t)
+    return t, shift, t.sum(axis=0)
+
+
+def _pair_sums(alpha, q: int):
+    """Validated (n, q, iu, ju, s): the pairs i < j in row-major order and
+    their sums s = alpha_i + alpha_j."""
+    a = _as_alpha(alpha)
+    iu, ju = np.triu_indices(a.shape[0], 1)
+    return a.shape[0], _check_q(q), iu, ju, a[iu] + a[ju]
 
 
 def edge_weight_pmf(s: float, q: int) -> np.ndarray:
@@ -182,25 +136,14 @@ def edge_weight_pmf(s: float, q: int) -> np.ndarray:
     s = float(s)
     if not np.isfinite(s):
         raise ValueError("s must be finite.")
-    exponents = np.arange(q) * s
-    exponents -= exponents.max()
-    w = np.exp(exponents)
-    return w / w.sum()
+    t, _, den = _shifted_exponentials(s, q)
+    return t / den
 
 
 def mean_weight(s: float, q: int) -> float:
     """Expected edge weight sum_a a * P(a_ij = a); strictly increasing in s."""
     p = edge_weight_pmf(s, q)
     return float(np.arange(q) @ p)
-
-
-def _mean_weight_matrix(s: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise expected edge weight for a matrix of pair sums."""
-    shift, den = _stable_exponents(s, q)
-    num = np.zeros_like(s, dtype=float)
-    for a in range(1, q):
-        num += a * np.exp(a * s - shift)
-    return num / den
 
 
 def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
@@ -212,31 +155,24 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     Parameters
     ----------
     alpha:
-        Node parameter vector (array-like or ParamVector).
+        Node parameter vector (array-like).
     q:
         Number of weight classes.
     seed:
         Anything accepted by ``numpy.random.default_rng``.
     """
-    a = _as_alpha(alpha)
-    q = _check_q(q)
-    n = a.shape[0]
+    n, q, iu, ju, s = _pair_sums(alpha, q)
     if n < 2:
         raise ValueError("need at least 2 nodes.")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    s = a[iu] + a[ju]
 
-    shift = (q - 1) * np.maximum(s, 0.0)
-    pmf = np.empty((s.shape[0], q))
-    for k in range(q):
-        pmf[:, k] = np.exp(k * s - shift)
-    pmf /= pmf.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(pmf, axis=1)
-    cdf[:, -1] = 1.0  # guard against cumsum rounding below 1
+    cdf, _, den = _shifted_exponentials(s, q)
+    cdf /= den
+    np.cumsum(cdf, axis=0, out=cdf)
+    cdf[-1] = 1.0  # guard against cumsum rounding below 1
 
     u = rng.random(s.shape[0])
-    w = (u[:, None] >= cdf).sum(axis=1)
+    w = (u >= cdf).sum(axis=0)
 
     weights = np.zeros((n, n), dtype=np.int64)
     weights[iu, ju] = w
@@ -246,53 +182,36 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
 
 def expected_degrees(alpha, q: int) -> np.ndarray:
     """Expected degree E(d_i) = sum_{j != i} mean_weight(alpha_i + alpha_j, q)."""
-    a = _as_alpha(alpha)
-    q = _check_q(q)
-    s = a[:, None] + a[None, :]
-    u = _mean_weight_matrix(s, q)
-    np.fill_diagonal(u, 0.0)
-    return u.sum(axis=1)
+    n, q, iu, ju, s = _pair_sums(alpha, q)
+    t, _, den = _shifted_exponentials(s, q)
+    mean = np.arange(q, dtype=float) @ t / den
+    return np.bincount(iu, mean, n) + np.bincount(ju, mean, n)
 
 
 def degree_jacobian(alpha, q: int) -> np.ndarray:
     """Jacobian of the expected-degree map; also the covariance matrix of d.
 
-    Off-diagonal entries equal
+    Off-diagonal entries are the edge-weight variances
 
-        v_ij = sum_{0 <= k < l <= q-1} (k-l)^2 exp((k+l)(alpha_i+alpha_j))
-               / (sum_a exp(a(alpha_i+alpha_j)))^2,
+        v_ij = Var(a_ij) = sum_k (k - m_ij)^2 t_k / den,   m_ij = E(a_ij),
 
-    which is Var(a_ij); the diagonal carries the row sums
-    v_ii = sum_{j != i} v_ij exactly.  The matrix is symmetric with strictly
-    positive off-diagonal entries.
+    taken about the mean rather than as E(a^2) - m^2, so saturated pair sums
+    keep their tiny positive variance instead of cancelling to zero.  The
+    diagonal carries the row sums v_ii = sum_{j != i} v_ij exactly.  The
+    matrix is symmetric with strictly positive off-diagonal entries.
     """
-    a = _as_alpha(alpha)
-    q = _check_q(q)
-    s = a[:, None] + a[None, :]
-    shift, den = _stable_exponents(s, q)
-    num = np.zeros_like(s)
-    for k in range(q - 1):
-        for l in range(k + 1, q):
-            num += (k - l) ** 2 * np.exp((k + l) * s - 2.0 * shift)
-    v = num / den**2
-    np.fill_diagonal(v, 0.0)
+    n, q, iu, ju, s = _pair_sums(alpha, q)
+    t, _, den = _shifted_exponentials(s, q)
+    mean = np.arange(q, dtype=float) @ t / den
+    for k in range(q):
+        t[k] *= (k - mean) ** 2
+    var = t.sum(axis=0) / den
+    del s, t, _, den, mean  # release the pair arrays before the dense matrix
+    v = np.zeros((n, n))
+    v[iu, ju] = var
+    v[ju, iu] = var
     np.fill_diagonal(v, v.sum(axis=1))
     return v
-
-
-def jacobian_entry_bounds(q_bound: float, q: int) -> tuple[float, float]:
-    """Bounds (m, M) on off-diagonal Jacobian entries over the feasible box.
-
-    m = 1 / (2 (1 + e^{q_bound})) and M = q^2 / 2; any parameter vector with
-    all pairwise sums in [-q_bound, q_bound] yields m <= v_ij <= M.
-    """
-    q = _check_q(q)
-    q_bound = float(q_bound)
-    if q_bound < 0:
-        raise ValueError("q_bound must be >= 0.")
-    m = 1.0 / (2.0 * (1.0 + np.exp(q_bound)))
-    big_m = q**2 / 2.0
-    return m, big_m
 
 
 def log_likelihood(graph: WeightedGraph, alpha) -> float:
@@ -301,17 +220,10 @@ def log_likelihood(graph: WeightedGraph, alpha) -> float:
     Each unordered pair contributes a_ij (alpha_i + alpha_j) minus the
     log-partition term.  Diagnostic only: estimation works from degrees.
     """
-    a = _as_alpha(alpha)
-    if a.shape[0] != graph.n:
+    n, q, iu, ju, s = _pair_sums(alpha, graph.q)
+    if n != graph.n:
         raise ValueError(
-            f"dimension mismatch: graph has {graph.n} nodes, alpha has {a.shape[0]}."
+            f"dimension mismatch: graph has {graph.n} nodes, alpha has {n}."
         )
-    q = graph.q
-    iu, ju = np.triu_indices(graph.n, 1)
-    s = a[iu] + a[ju]
-    w = graph.weights[iu, ju]
-
-    exponents = np.arange(q)[None, :] * s[:, None]
-    shift = exponents.max(axis=1)
-    logz = shift + np.log(np.exp(exponents - shift[:, None]).sum(axis=1))
-    return float(np.sum(w * s - logz))
+    _, shift, den = _shifted_exponentials(s, q)
+    return float(np.sum(graph.weights[iu, ju] * s - (shift + np.log(den))))

@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the package.
 
-Everything here deliberately avoids the code paths under test: moments come
-from truncated series summation over the integer support, expected degrees
-from explicit pairwise summation of the scalar mean, Jacobians from central
-finite differences, and the moment equations are solved by cyclic
-coordinate bisection instead of Newton steps.
+Everything here deliberately avoids the code paths under test: edge-weight
+moments come from raw, unshifted exponentials summed over the q support
+points (so they hold only for moderate pair sums, (q-1)|s| below ~700),
+noise moments from truncated series summation over the integer support,
+expected degrees from explicit pairwise summation of the scalar mean,
+Jacobians from central finite differences, and the moment equations are
+solved by cyclic coordinate bisection instead of Newton steps.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 
 import numpy as np
 
-from dpbeta.model import edge_weight_pmf, mean_weight
-
 
 def pmf_by_enumeration(s: float, q: int) -> np.ndarray:
     """Edge-weight pmf from raw exponentials (safe only for moderate s)."""
@@ -22,21 +22,29 @@ def pmf_by_enumeration(s: float, q: int) -> np.ndarray:
     return raw / raw.sum()
 
 
+def mean_weights_by_enumeration(s: np.ndarray, q: int) -> np.ndarray:
+    """E(a_ij) for a vector of pair sums, from raw exponentials."""
+    raw = np.exp(np.multiply.outer(s, np.arange(q)))
+    return raw @ np.arange(q) / raw.sum(axis=1)
+
+
 def weight_variance_by_enumeration(s: float, q: int) -> float:
-    """Var(a_ij) summed directly over the q support points."""
-    p = edge_weight_pmf(s, q)
+    """Var(a_ij) about its mean, summed directly over the q support points."""
+    p = pmf_by_enumeration(s, q)
     a = np.arange(q)
     mean = float(a @ p)
     return float((a - mean) ** 2 @ p)
 
 
 def expected_degrees_by_summation(alpha: np.ndarray, q: int) -> np.ndarray:
-    """E(d_i) via the scalar mean-weight function, pair by pair."""
+    """E(d_i) via the scalar mean weight from the enumerated pmf, pair by pair."""
     n = len(alpha)
     out = np.zeros(n)
     for i in range(n):
         out[i] = sum(
-            mean_weight(alpha[i] + alpha[j], q) for j in range(n) if j != i
+            float(np.arange(q) @ pmf_by_enumeration(alpha[i] + alpha[j], q))
+            for j in range(n)
+            if j != i
         )
     return out
 
@@ -110,15 +118,13 @@ def gauss_seidel_bisect(
     budget runs out.  The linear sweep rate degenerates for near-saturated
     roots (coordinates beyond ~10), so use this on interior roots only.
     """
-    from dpbeta.model import _mean_weight_matrix
-
     d_bar = np.asarray(d_bar, dtype=float)
     n = len(d_bar)
     alpha = np.zeros(n)
     others = [np.array([j for j in range(n) if j != i]) for i in range(n)]
 
     def f(i, x):
-        return _mean_weight_matrix(x + alpha[others[i]], q).sum() - d_bar[i]
+        return mean_weights_by_enumeration(x + alpha[others[i]], q).sum() - d_bar[i]
 
     for _ in range(max_sweeps):
         delta = 0.0

@@ -87,8 +87,8 @@ class TestZebraFixture:
         pruned = prune_isolated(g)
         assert pruned.removed == [7]  # 0-based index of vertex 8
         assert pruned.graph.n == 27
-        assert pruned.original_label(0) == 1
-        assert pruned.original_label(7) == 9  # vertex 9 shifts into slot 7
+        assert pruned.kept[0] + 1 == 1
+        assert pruned.kept[7] + 1 == 9  # vertex 9 shifts into slot 7
 
 
 class TestPruneIsolated:
@@ -331,6 +331,15 @@ class TestExitCodes:
         assert main(["release", "--input", str(tmp_path / "none.txt"),
                      "--q", "3", "--eps", "1",
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_release_is_data_error(self, tmp_path, token, capsys):
+        rel = tmp_path / "rel.json"
+        rel.write_text('{"q": 2, "d_bar": [%s, 2, 2, 2, 2]}' % token)
+        fitp = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(rel), "--out", str(fitp)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not fitp.exists()
 
     def test_malformed_edge_list_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"

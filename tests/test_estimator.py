@@ -95,6 +95,13 @@ class TestSolve:
         fit = solve([-1, 1, 1], 2)
         assert fit.status == "nonexistent_infeasible_degree"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_degree_is_rejected(self, bad):
+        # NaN fails every range comparison, so without the check it would
+        # slip through as "converged" with a NaN residual
+        with pytest.raises(ValueError, match="finite"):
+            solve([bad, 2, 2, 2, 2], 2)
+
     def test_genuinely_nonexistent_instance_diverges(self):
         # strictly feasible coordinates, but no root: the oracle's bracket
         # check agrees that no solution exists

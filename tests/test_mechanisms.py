@@ -272,14 +272,6 @@ class TestReleaseDegrees:
                 mechanism=mech,
             )
 
-    def test_accepts_degree_sequence_wrapper(self):
-        from dpbeta.model import DegreeSequence
-
-        rel = release_degrees(DegreeSequence(np.array([3, 4, 5])), calibrate(2.0), seed=9)
-        np.testing.assert_array_equal(rel.d, [3, 4, 5])
-        with pytest.raises(ValueError):
-            DegreeSequence(np.array([1.5, 2.0]))
-
 
 class TestWorstCaseLogRatio:
     def test_symmetric_attains_epsilon(self):
