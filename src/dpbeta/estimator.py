@@ -4,11 +4,14 @@ The estimate solves the moment equations
 
     d_bar_i = sum_{j != i} mean_weight(alpha_i + alpha_j, q),  i = 1..n,
 
-by damped Newton iteration.  The Jacobian of the expected-degree map is
-symmetric positive definite on feasible problems, so each step is a dense
-symmetric factorization.  Per-node precision comes from the plug-in
-diagonal of the Jacobian at the solution, which backs normal-approximation
-confidence intervals for single parameters and for contrasts.
+by damped Newton iteration.  The equations are the gradient of a strictly
+convex function, so they have at most one root, and nodes with equal noisy
+degree get equal estimates.  The solver therefore works on the K distinct
+noisy degrees, one parameter per class of tied nodes: each step is one
+K-by-K symmetric positive definite Cholesky factorization, whatever n is.
+Per-node precision comes from the plug-in diagonal of the Jacobian at the
+solution, which backs normal-approximation confidence intervals for single
+parameters and for contrasts.
 
 An estimate can fail to exist: either some noisy degree falls outside the
 open attainable range (detected before iterating) or the iteration fails to
@@ -27,7 +30,13 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import _as_alpha, _check_q, degree_jacobian, expected_degrees
+from .model import (
+    _as_alpha,
+    _check_q,
+    degree_jacobian,
+    degree_variances,
+    expected_degrees,
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "nonexistent_infeasible_degree"
@@ -92,7 +101,6 @@ class FitResult:
 def solve(
     d_bar,
     q: int,
-    init=None,
     tol: float = 1e-10,
     max_iter: int = 200,
     step_cap: float = 5.0,
@@ -106,8 +114,6 @@ def solve(
         ValueError.
     q:
         Weight-class count of the generating model.
-    init:
-        Starting point; defaults to the zero vector.
     tol:
         Convergence threshold on the sup norm of the residual.
     max_iter:
@@ -119,11 +125,16 @@ def solve(
 
     Notes
     -----
-    Each step solves V(alpha) delta = F(alpha) with a Cholesky
-    factorization and applies alpha <- alpha + step * delta, halving step
-    while the residual sup norm does not decrease.  Noisy degrees outside
-    the open interval (0, (n-1)(q-1)) make the equations unsolvable, which
-    is reported without iterating.
+    The iteration starts from zero.  Each step solves V(alpha) delta =
+    F(alpha) and applies alpha <- alpha + step * delta, halving step while
+    the residual sup norm does not decrease.  The nodes are grouped once
+    into the K distinct values d_a of d_bar, with counts c_a, and every
+    iterate is constant on each class: with P the n-by-K class-indicator
+    matrix, the step for the class parameters beta solves the K-by-K
+    system (P^T V P) delta = C f, C = diag(c), by one Cholesky
+    factorization, and gives the same iterates as the n-by-n system.
+    Noisy degrees outside the open interval (0, (n-1)(q-1)) make the
+    equations unsolvable, which is reported without iterating.
     """
     q = _check_q(q)
     d_bar = np.asarray(d_bar, dtype=float)
@@ -147,21 +158,26 @@ def solve(
             infeasible_nodes=bad.tolist(),
         )
 
-    alpha = np.zeros(n) if init is None else _as_alpha(init).copy()
-    if alpha.shape[0] != n:
-        raise ValueError("init must have the same length as d_bar.")
+    d_class, node_class, counts = np.unique(
+        d_bar, return_inverse=True, return_counts=True
+    )
+    counts = counts.astype(float)
+    beta = np.zeros(d_class.shape[0])
 
-    f = d_bar - expected_degrees(alpha, q)
+    f = d_class - expected_degrees(beta, q, counts)
     fnorm = float(np.max(np.abs(f)))
     iterations = 0
 
     while fnorm > tol and iterations < max_iter:
-        v = degree_jacobian(alpha, q)
+        # P^T V P is symmetric, so its transpose is the same matrix in the
+        # Fortran order LAPACK factors in place.
+        m = degree_jacobian(beta, q, counts).T
         try:
-            factor = cho_factor(v, lower=True, check_finite=False)
-            delta = cho_solve(factor, f, check_finite=False)
+            factor = cho_factor(m, lower=True, overwrite_a=True, check_finite=False)
+            delta = cho_solve(factor, counts * f, check_finite=False)
         except (LinAlgError, ValueError):
             return _diverged(n, q, tol, iterations, fnorm)
+        del m, factor  # free before the next Jacobian
         if not np.all(np.isfinite(delta)):
             return _diverged(n, q, tol, iterations, fnorm)
         dnorm = float(np.max(np.abs(delta)))
@@ -171,11 +187,11 @@ def solve(
         step = 1.0
         accepted = False
         while step >= _MIN_STEP:
-            cand = alpha + step * delta
-            fc = d_bar - expected_degrees(cand, q)
+            cand = beta + step * delta
+            fc = d_class - expected_degrees(cand, q, counts)
             cnorm = float(np.max(np.abs(fc)))
             if cnorm < fnorm:
-                alpha, f, fnorm = cand, fc, cnorm
+                beta, f, fnorm = cand, fc, cnorm
                 accepted = True
                 break
             step *= 0.5
@@ -186,16 +202,15 @@ def solve(
     if fnorm > tol:
         return _diverged(n, q, tol, iterations, fnorm)
 
-    v_hat = np.diagonal(degree_jacobian(alpha, q)).copy()
     return FitResult(
         status=STATUS_CONVERGED,
         n=n,
         q=q,
         tolerance=tol,
         iterations=iterations,
-        alpha_hat=alpha,
+        alpha_hat=beta[node_class],
         residual_inf=fnorm,
-        v_hat_diag=v_hat,
+        v_hat_diag=degree_variances(beta, q, counts)[node_class],
     )
 
 

@@ -17,11 +17,17 @@ their sum den.  The shift is the largest exponent, so no term overflows and
 den lies in [1, q]; every function here is safe for arbitrarily large
 |alpha_i + alpha_j|.  Pair quantities are evaluated on the i < j pairs only
 and then scattered to the nodes.
+
+Nodes with equal parameters have equal moments, so the degree map, its
+variances and its Jacobian also take class multiplicities: one parameter
+per class of tied nodes and the number of nodes in it.  Their cost is then
+quadratic in the number of classes rather than in n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,6 +116,17 @@ def _shifted_exponentials(s, q: int):
     return t, shift, t.sum(axis=0)
 
 
+@lru_cache(maxsize=1)
+def _upper_pairs(k: int):
+    """The pairs i < j of k entries in row-major order, read-only.  Every
+    moment pass of one solve asks for the same k, so the last answer is
+    kept."""
+    pairs = np.triu_indices(k, 1)
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
+
+
 def _pair_sums(alpha, q: int):
     """Validated (n, q, iu, ju, s): the pairs i < j in row-major order and
     their sums s = alpha_i + alpha_j."""
@@ -180,37 +197,91 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     return WeightedGraph(weights=weights, q=q)
 
 
-def expected_degrees(alpha, q: int) -> np.ndarray:
-    """Expected degree E(d_i) = sum_{j != i} mean_weight(alpha_i + alpha_j, q)."""
-    n, q, iu, ju, s = _pair_sums(alpha, q)
-    t, _, den = _shifted_exponentials(s, q)
-    mean = np.arange(q, dtype=float) @ t / den
-    return np.bincount(iu, mean, n) + np.bincount(ju, mean, n)
+def _weight_moment(s, q: int, centred: bool) -> np.ndarray:
+    """Mean edge weight at pair sums s or, if centred, its variance.
 
-
-def degree_jacobian(alpha, q: int) -> np.ndarray:
-    """Jacobian of the expected-degree map; also the covariance matrix of d.
-
-    Off-diagonal entries are the edge-weight variances
-
-        v_ij = Var(a_ij) = sum_k (k - m_ij)^2 t_k / den,   m_ij = E(a_ij),
-
-    taken about the mean rather than as E(a^2) - m^2, so saturated pair sums
-    keep their tiny positive variance instead of cancelling to zero.  The
-    diagonal carries the row sums v_ii = sum_{j != i} v_ij exactly.  The
-    matrix is symmetric with strictly positive off-diagonal entries.
+    The variance is taken about the mean, sum_k (k - m)^2 t_k / den, rather
+    than as E(a^2) - m^2, so saturated pair sums keep their tiny positive
+    variance instead of cancelling to zero.
     """
-    n, q, iu, ju, s = _pair_sums(alpha, q)
     t, _, den = _shifted_exponentials(s, q)
     mean = np.arange(q, dtype=float) @ t / den
+    if not centred:
+        return mean
     for k in range(q):
         t[k] *= (k - mean) ** 2
-    var = t.sum(axis=0) / den
-    del s, t, _, den, mean  # release the pair arrays before the dense matrix
-    v = np.zeros((n, n))
+    return t.sum(axis=0) / den
+
+
+def _class_moments(alpha, q: int, counts, centred: bool):
+    """Edge-weight moments between and within classes of tied nodes.
+
+    Entry a of alpha is the parameter beta_a shared by the counts[a] nodes
+    of class a (one node per entry when counts is None).  Returns (k, c,
+    iu, ju, pair, same): the moment at the class pair sums beta_a + beta_b
+    for a < b, and at 2 beta_a, the sum for two nodes of one class.
+    """
+    a = _as_alpha(alpha)
+    k, q = a.shape[0], _check_q(q)
+    iu, ju = _upper_pairs(k)
+    s = a[iu] + a[ju]
+    if counts is None:
+        c = np.ones(k)
+    else:
+        c = np.asarray(counts, dtype=float)
+        if c.shape != (k,) or not np.all(c >= 1):
+            raise ValueError("counts must hold one multiplicity >= 1 per entry.")
+    x = _weight_moment(np.concatenate((s, 2.0 * a)), q, centred)
+    return k, c, iu, ju, x[:-k], x[-k:]
+
+
+def _node_sums(k, c, iu, ju, pair, same) -> np.ndarray:
+    """Per class a, the sum over one node's partners,
+    sum_{b != a} c_b x_ab + (c_a - 1) x_aa."""
+    return (
+        np.bincount(iu, c[ju] * pair, k)
+        + np.bincount(ju, c[iu] * pair, k)
+        + (c - 1.0) * same
+    )
+
+
+def expected_degrees(alpha, q: int, counts=None) -> np.ndarray:
+    """Expected degree E(d_i) = sum_{j != i} mean_weight(alpha_i + alpha_j, q).
+
+    With counts, entry a of alpha stands for counts[a] nodes that share it,
+    and entry a of the result is the expected degree of each of them.
+    """
+    return _node_sums(*_class_moments(alpha, q, counts, centred=False))
+
+
+def degree_variances(alpha, q: int, counts=None) -> np.ndarray:
+    """Var(d_i) = sum_{j != i} Var(a_ij): the diagonal of the node-level
+    ``degree_jacobian``, per class when counts is given, without building
+    any matrix."""
+    return _node_sums(*_class_moments(alpha, q, counts, centred=True))
+
+
+def degree_jacobian(alpha, q: int, counts=None) -> np.ndarray:
+    """Jacobian of the expected-degree map; also the covariance matrix of d.
+
+    Off-diagonal entries are the edge-weight variances v_ij = Var(a_ij) > 0
+    and the diagonal carries the row sums v_ii = sum_{j != i} v_ij exactly,
+    so the matrix is symmetric positive definite on feasible problems.
+
+    With counts (class multiplicities c, see ``expected_degrees``) the
+    result is P^T V P, where V is the node-level matrix and P the n-by-k
+    class-indicator matrix: entry (a, b) is c_a c_b v_ab off the diagonal
+    and c_a v_ii + c_a (c_a - 1) v_aa on it.  With one node per entry it
+    is V itself.
+    """
+    k, c, iu, ju, var, same = _class_moments(alpha, q, counts, centred=True)
+    v = np.zeros((k, k))
     v[iu, ju] = var
     v[ju, iu] = var
-    np.fill_diagonal(v, v.sum(axis=1))
+    v *= c
+    v_ii = v.sum(axis=1) + (c - 1.0) * same
+    v *= c[:, None]
+    np.fill_diagonal(v, c * (v_ii + (c - 1.0) * same))
     return v
 
 

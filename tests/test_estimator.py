@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dpbeta.estimator import (
@@ -15,7 +17,7 @@ from dpbeta.estimator import (
     standardized_contrast,
 )
 from dpbeta.mechanisms import calibrate, sample_noise
-from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
+from dpbeta.model import degree_jacobian, edge_weight_pmf, expected_degrees, sample_graph
 from dpbeta.experiments import truth_profile
 
 import oracles
@@ -118,18 +120,6 @@ class TestSolve:
         assert fit.status == "nonexistent_diverged"
         assert fit.iterations == 1
 
-    def test_restarts_reach_same_root(self):
-        n, q = 6, 3
-        g = sample_graph(truth_profile(n, 0.5), q, seed=5)
-        d = g.degrees()
-        base = solve(d, q)
-        assert base.converged
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            fit = solve(d, q, init=rng.uniform(-2, 2, n))
-            assert fit.converged
-            assert np.max(np.abs(fit.alpha_hat - base.alpha_hat)) < 1e-7
-
     def test_permutation_equivariance(self):
         n, q = 7, 3
         g = sample_graph(np.linspace(-0.5, 0.5, n), q, seed=6)
@@ -150,6 +140,72 @@ class TestSolve:
         assert len(payload["alpha_hat"]) == 3
         assert len(payload["v_hat_diag"]) == 3
         assert payload["residual_inf"] <= payload["tolerance"]
+
+
+@st.composite
+def tied_integer_degrees(draw):
+    """Integer d_bar taking at most three distinct values, all inside the
+    attainable region, so a root exists.
+
+    The region is the zonotope (q-1) D_n with facets
+    sum_S x - sum_T x <= (q-1) |S| (n-1-|T|) over disjoint S, T (Stanley
+    1991); every point within (q-1)(n-2)/4 of the centre (q-1)(n-1)/2 in
+    each coordinate satisfies all of them strictly.
+    """
+    n = draw(st.integers(6, 9))
+    q = draw(st.integers(2, 4))
+    centre, half = (q - 1) * (n - 1) / 2, (q - 1) * (n - 2) / 4
+    lo, hi = math.floor(centre - half) + 1, math.ceil(centre + half) - 1
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3, unique=True))
+    d = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    return np.array(d, dtype=float), q
+
+
+@st.composite
+def distinct_float_degrees(draw):
+    """All-distinct real d_bar = E(d | alpha) for distinct alpha: the root
+    is alpha itself."""
+    n = draw(st.integers(3, 7))
+    q = draw(st.integers(2, 4))
+    cents = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n, unique=True))
+    alpha = np.array(cents) / 100.0
+    return oracles.expected_degrees_by_summation(alpha, q), q
+
+
+class TestDegreeClasses:
+    """``solve`` works on the distinct noisy degrees, one parameter each."""
+
+    @pytest.mark.parametrize("n, q, d", [(7, 2, 2.0), (6, 3, 3.0), (5, 3, 6.5)])
+    def test_all_equal_degrees_match_closed_form(self, n, q, d):
+        # one class: (n-1) mean_weight(2 beta) = d, a polynomial in
+        # x = exp(2 beta); for q = 2 it is linear, for q = 3 quadratic
+        m = d / (n - 1)
+        if q == 2:
+            x = m / (1 - m)
+        else:
+            x = ((m - 1) + math.sqrt((1 - m) ** 2 + 4 * (2 - m) * m)) / (2 * (2 - m))
+        beta = math.log(x) / 2
+        p = edge_weight_pmf(2 * beta, q)
+        k = np.arange(q)
+        var = (n - 1) * float((k - k @ p) ** 2 @ p)
+        fit = solve(np.full(n, d), q)
+        assert fit.converged
+        np.testing.assert_allclose(fit.alpha_hat, beta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit.v_hat_diag, var, rtol=1e-12)
+
+    @settings(max_examples=40)
+    @given(st.one_of(tied_integer_degrees(), distinct_float_degrees()))
+    def test_fit_matches_bisection_and_ties_share_estimates(self, case):
+        d_bar, q = case
+        fit = solve(d_bar, q)
+        assert fit.converged
+        oracle = oracles.gauss_seidel_bisect(d_bar, q)
+        assert oracle is not None
+        assert np.max(np.abs(fit.alpha_hat - oracle)) < 1e-8
+        for value in np.unique(d_bar):
+            tied = d_bar == value
+            assert np.all(fit.alpha_hat[tied] == fit.alpha_hat[tied][0])
+            assert np.all(fit.v_hat_diag[tied] == fit.v_hat_diag[tied][0])
 
 
 class TestNormalQuantile:

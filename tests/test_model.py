@@ -9,6 +9,7 @@ from dpbeta.experiments import truth_profile
 from dpbeta.model import (
     WeightedGraph,
     degree_jacobian,
+    degree_variances,
     edge_weight_pmf,
     expected_degrees,
     log_likelihood,
@@ -238,6 +239,43 @@ class TestDegreeJacobian:
             offs = off[~np.eye(n, dtype=bool)]
             assert np.all(offs > 0)
             assert np.all(offs >= m) and np.all(offs <= big_m)
+
+
+class TestDegreeClasses:
+    """Class multiplicities: one parameter stands for every node of a class."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_counts_match_grouped_node_level(self, q):
+        rng = np.random.default_rng(40 + q)
+        for _ in range(5):
+            k = int(rng.integers(1, 6))
+            beta = rng.uniform(-2, 2, k)
+            counts = rng.integers(1, 5, k)
+            node_class = np.repeat(np.arange(k), counts)
+            alpha = beta[node_class]
+            p = (node_class[:, None] == np.arange(k)).astype(float)
+            v = degree_jacobian(alpha, q)
+            first = np.searchsorted(node_class, np.arange(k))
+            np.testing.assert_allclose(
+                degree_jacobian(beta, q, counts), p.T @ v @ p, rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                expected_degrees(beta, q, counts),
+                expected_degrees(alpha, q)[first],
+                rtol=1e-12,
+                atol=0,
+            )
+            np.testing.assert_allclose(
+                degree_variances(beta, q, counts),
+                np.diagonal(v)[first],
+                rtol=1e-12,
+                atol=0,
+            )
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 2, math.nan]])
+    def test_rejects_bad_counts(self, counts):
+        with pytest.raises(ValueError):
+            expected_degrees(np.zeros(3), 2, counts)
 
 
 class TestLogLikelihood:
