@@ -16,12 +16,10 @@ from .edgelist import (
     write_edge_list,
 )
 from .estimator import (
-    ContrastCI,
+    ConfidenceInterval,
     FitResult,
     InverseApproxReport,
-    SingleCI,
     contrast_ci,
-    degree_deviation_bound,
     inverse_approximation,
     normal_quantile,
     residual,
@@ -72,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
-    "ContrastCI",
+    "ConfidenceInterval",
     "DataError",
     "DegreeRelease",
     "EdgeListError",
@@ -84,12 +82,10 @@ __all__ = [
     "PairSummary",
     "PruneResult",
     "RateRow",
-    "SingleCI",
     "WeightedGraph",
     "calibrate",
     "contrast_ci",
     "default_pairs",
-    "degree_deviation_bound",
     "degree_jacobian",
     "dlaplace_moments",
     "dlaplace_pmf",

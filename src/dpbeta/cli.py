@@ -30,13 +30,7 @@ from .edgelist import (
     prune_isolated,
     write_edge_list,
 )
-from .estimator import (
-    FitResult,
-    SingleCI,
-    degree_deviation_bound,
-    single_ci,
-    solve,
-)
+from .estimator import ConfidenceInterval, FitResult, single_ci, solve
 from .experiments import (
     ExperimentSpec,
     qq_points,
@@ -110,11 +104,9 @@ class PipelineOutput:
 
     release: DegreeRelease
     fit: FitResult
-    intervals: list[SingleCI]  # per node of the pruned graph
+    intervals: list[ConfidenceInterval]  # per node of the pruned graph
     labels: list[int]  # 1-based original vertex ids, per pruned node
     removed_labels: list[int]  # 1-based ids dropped by pruning
-    deviation: Optional[float]  # max |d_bar - E(d)| at the fitted parameters
-    deviation_bound: float
 
 
 def pipeline_fit(
@@ -138,20 +130,13 @@ def pipeline_fit(
     release = release_degrees(graph2.degrees(), mechanism, seed=seed, q=q)
     fit = solve(release.d_bar, q)
 
-    intervals: list[SingleCI] = []
-    deviation = None
-    if fit.converged:
-        intervals = [single_ci(fit, i, level) for i in range(fit.n)]
-        deviation = float(fit.residual_inf)
-    bound = degree_deviation_bound(graph2.n, q) if graph2.n >= 3 else float("inf")
+    intervals = [single_ci(fit, i, level) for i in range(fit.n)] if fit.converged else []
     return PipelineOutput(
         release=release,
         fit=fit,
         intervals=intervals,
         labels=labels,
         removed_labels=removed,
-        deviation=deviation,
-        deviation_bound=bound,
     )
 
 
@@ -265,6 +250,19 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _fit_exit_code(fit: FitResult, labels) -> int:
+    """EXIT_OK for a converged fit; otherwise say why the estimate does not
+    exist, naming vertices by labels[i], and return EXIT_NONEXISTENT."""
+    if fit.converged:
+        return EXIT_OK
+    if fit.infeasible_nodes:
+        names = ", ".join(str(labels[i]) for i in fit.infeasible_nodes)
+        _note(f"estimate does not exist: infeasible noisy degree at vertex {names}.")
+    else:
+        _note("estimate does not exist: iteration did not converge.")
+    return EXIT_NONEXISTENT
+
+
 def _check_theory_floor(epsilon: float, n: int) -> None:
     floor = theory_epsilon_floor(n)
     if epsilon < floor:
@@ -280,7 +278,7 @@ def _check_theory_floor(epsilon: float, n: int) -> None:
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _resolve_seed(args, {})
+    seed = _resolve_seed(args, {})
     if args.alpha is not None:
         if args.L is not None:
             raise UsageError("--alpha and --L are mutually exclusive.")
@@ -311,7 +309,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_release(args) -> int:
-    seed = args.seed if args.seed is not None else _resolve_seed(args, {})
+    seed = _resolve_seed(args, {})
     graph = parse_edge_list(args.input, args.q, n=args.n)
     _check_theory_floor(args.eps, graph.n)
     mechanism = calibrate(args.eps, kind=args.kind, skew_ratio=args.skew_ratio)
@@ -365,18 +363,11 @@ def _cmd_fit(args) -> int:
         [out],
         input_path=Path(args.input),
     )
-    if not fit.converged:
-        if fit.infeasible_nodes:
-            labels = ", ".join(str(i + 1) for i in fit.infeasible_nodes)
-            _note(f"estimate does not exist: infeasible noisy degree at vertex {labels}.")
-        else:
-            _note("estimate does not exist: iteration did not converge.")
-        return EXIT_NONEXISTENT
-    return EXIT_OK
+    return _fit_exit_code(fit, range(1, fit.n + 1))
 
 
 def _cmd_pipeline(args) -> int:
-    seed = args.seed if args.seed is not None else _resolve_seed(args, {})
+    seed = _resolve_seed(args, {})
     out = pipeline_fit(
         args.input,
         args.q,
@@ -403,11 +394,6 @@ def _cmd_pipeline(args) -> int:
         scatter_path = Path(str(prefix) + "_scatter.csv")
         scatter_path.write_text("\n".join(_scatter_lines(out)) + "\n", encoding="utf-8")
         outputs = [fit_path, scatter_path, release_path]
-        if out.deviation is not None and out.deviation > out.deviation_bound:
-            _note(
-                f"warning: max degree deviation {out.deviation:.3f} exceeds "
-                f"the plausibility bound {out.deviation_bound:.3f}."
-            )
 
     write_manifest(
         "pipeline",
@@ -424,16 +410,7 @@ def _cmd_pipeline(args) -> int:
         input_path=Path(args.input),
     )
 
-    if not out.fit.converged:
-        if out.fit.infeasible_nodes:
-            labels = ", ".join(
-                str(out.labels[i]) for i in out.fit.infeasible_nodes
-            )
-            _note(f"estimate does not exist: infeasible noisy degree at vertex {labels}.")
-        else:
-            _note("estimate does not exist: iteration did not converge.")
-        return EXIT_NONEXISTENT
-    return EXIT_OK
+    return _fit_exit_code(out.fit, out.labels)
 
 
 def _cmd_simulate(args) -> int:
@@ -478,13 +455,11 @@ def _cmd_rate(args) -> int:
     if q is None:
         raise UsageError("--q is required.")
     seed = _resolve_seed(args, config)
+    l_mode = str(_resolve(args, config, "L", "zero"))
+    eps_mode = str(_resolve(args, config, "eps", "fixed:2"))
+    reps = int(_resolve(args, config, "reps", 300))
     rows = rate_study(
-        n_list,
-        int(q),
-        l_mode=str(_resolve(args, config, "L", "zero")),
-        eps_mode=str(_resolve(args, config, "eps", "fixed:2")),
-        reps=int(_resolve(args, config, "reps", 300)),
-        master_seed=seed,
+        n_list, int(q), l_mode=l_mode, eps_mode=eps_mode, reps=reps, master_seed=seed
     )
     out = Path(args.out)
     lines = ["n,median_inf_error,converged,reps"] + [
@@ -496,9 +471,9 @@ def _cmd_rate(args) -> int:
         {
             "n_list": list(n_list),
             "q": int(q),
-            "L": str(_resolve(args, config, "L", "zero")),
-            "eps": str(_resolve(args, config, "eps", "fixed:2")),
-            "reps": int(_resolve(args, config, "reps", 300)),
+            "L": l_mode,
+            "eps": eps_mode,
+            "reps": reps,
             "seed": seed,
             "out": str(out),
         },

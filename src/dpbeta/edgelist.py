@@ -3,12 +3,15 @@
 Files are plain text, one edge per line: ``i j w`` with 1-based node ids
 and an integer weight >= 1.  Pairs that never appear have weight 0; lines
 starting with '#' are comments.  Node ids are 1-based in files and messages
-but 0-based inside the package.
+but 0-based inside the package, where a graph is the same list of pairs
+(``model.WeightedGraph``), so reading, pruning and writing all take time
+and memory linear in the number of edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,7 +37,7 @@ class EdgeListError(DataError):
 def parse_edge_list(
     path: Union[str, Path], q: int, n: Optional[int] = None
 ) -> WeightedGraph:
-    """Read a weighted edge list into a dense symmetric graph.
+    """Read a weighted edge list into a graph.
 
     Parameters
     ----------
@@ -103,21 +106,22 @@ def parse_edge_list(
     elif max_id > n:
         raise EdgeListError(f"node id {max_id} exceeds declared n={n}.")
 
-    weights = np.zeros((n, n), dtype=np.int64)
-    for (i, j), w in edges.items():
-        weights[i - 1, j - 1] = w
-        weights[j - 1, i - 1] = w
-    return WeightedGraph(weights=weights, q=q)
+    m = len(edges)
+    ij = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
+    w = np.fromiter(edges.values(), np.int64, m)
+    del edges  # by far the largest object here; free it before sorting
+    ij -= 1
+    order = np.argsort(ij[:, 0] * n + ij[:, 1])
+    return WeightedGraph(n, q, ij[order, 0], ij[order, 1], w[order])
 
 
 def write_edge_list(graph: WeightedGraph, path: Union[str, Path]) -> None:
-    """Write the nonzero upper-triangle pairs as "i j w" lines, 1-based."""
+    """Write the graph's pairs as "i j w" lines, 1-based, in row-major order."""
     path = Path(path)
-    iu, ju = np.nonzero(np.triu(graph.weights, 1))
     with path.open("w", encoding="utf-8") as fh:
         fh.write("# i j w\n")
-        for i, j in zip(iu, ju):
-            fh.write(f"{i + 1} {j + 1} {graph.weights[i, j]}\n")
+        for i, j, w in zip(graph.i.tolist(), graph.j.tolist(), graph.w.tolist()):
+            fh.write(f"{i + 1} {j + 1} {w}\n")
 
 
 @dataclass
@@ -138,14 +142,15 @@ def prune_isolated(graph: WeightedGraph) -> PruneResult:
 
     Raises DataError if fewer than two nodes would remain.
     """
-    degrees = graph.degrees()
-    kept = np.where(degrees > 0)[0]
-    removed = np.where(degrees == 0)[0]
+    positive = graph.degrees() > 0
+    kept = np.flatnonzero(positive)
     if kept.size < 2:
         raise DataError("fewer than 2 nodes with positive degree remain.")
-    sub = graph.weights[np.ix_(kept, kept)]
+    # every endpoint has positive degree; the monotone relabelling keeps
+    # i < j and the row-major order of the pairs
+    label = np.cumsum(positive) - 1
     return PruneResult(
-        graph=WeightedGraph(weights=sub, q=graph.q),
-        removed=removed.tolist(),
+        graph=WeightedGraph(kept.size, graph.q, label[graph.i], label[graph.j], graph.w),
+        removed=np.flatnonzero(~positive).tolist(),
         kept=kept.tolist(),
     )

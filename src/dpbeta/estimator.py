@@ -244,11 +244,12 @@ def normal_quantile(p: float) -> float:
 
 
 @dataclass
-class ContrastCI:
-    """Normal-approximation interval for alpha_i - alpha_j."""
+class ConfidenceInterval:
+    """Normal-approximation interval for alpha_i, or for the contrast
+    alpha_i - alpha_j when j is given."""
 
     i: int
-    j: int
+    j: Optional[int]
     point: float
     half_width: float
     se: float
@@ -261,37 +262,6 @@ class ContrastCI:
     @property
     def hi(self) -> float:
         return self.point + self.half_width
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.i},{self.j},{self.point:.10g},{self.lo:.10g},"
-            f"{self.hi:.10g},{self.se:.10g},{self.level:.10g}"
-        )
-
-
-@dataclass
-class SingleCI:
-    """Normal-approximation interval for a single alpha_i."""
-
-    i: int
-    point: float
-    half_width: float
-    se: float
-    level: float
-
-    @property
-    def lo(self) -> float:
-        return self.point - self.half_width
-
-    @property
-    def hi(self) -> float:
-        return self.point + self.half_width
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.i},,{self.point:.10g},{self.lo:.10g},"
-            f"{self.hi:.10g},{self.se:.10g},{self.level:.10g}"
-        )
 
 
 def _require_converged(fit: FitResult) -> None:
@@ -299,29 +269,34 @@ def _require_converged(fit: FitResult) -> None:
         raise ValueError(f"fit did not converge (status={fit.status}).")
 
 
-def contrast_ci(fit: FitResult, i: int, j: int, level: float = 0.95) -> ContrastCI:
-    """Interval alpha_hat_i - alpha_hat_j +- z * (1/v_ii + 1/v_jj)^(1/2)."""
+def _interval(
+    fit: FitResult, i: int, j: Optional[int], level: float
+) -> ConfidenceInterval:
     _require_converged(fit)
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie strictly in (0, 1).")
+    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    if j is None:
+        point = float(fit.alpha_hat[i])
+        se = 1.0 / math.sqrt(fit.v_hat_diag[i])
+    else:
+        point = float(fit.alpha_hat[i] - fit.alpha_hat[j])
+        se = math.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
+    return ConfidenceInterval(i, j, point, half_width=z * se, se=se, level=level)
+
+
+def contrast_ci(
+    fit: FitResult, i: int, j: int, level: float = 0.95
+) -> ConfidenceInterval:
+    """Interval alpha_hat_i - alpha_hat_j +- z * (1/v_ii + 1/v_jj)^(1/2)."""
     if i == j:
         raise ValueError("contrast needs two distinct nodes.")
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie strictly in (0, 1).")
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    se = math.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
-    point = float(fit.alpha_hat[i] - fit.alpha_hat[j])
-    return ContrastCI(i=i, j=j, point=point, half_width=z * se, se=se, level=level)
+    return _interval(fit, i, j, level)
 
 
-def single_ci(fit: FitResult, i: int, level: float = 0.95) -> SingleCI:
+def single_ci(fit: FitResult, i: int, level: float = 0.95) -> ConfidenceInterval:
     """Interval alpha_hat_i +- z / sqrt(v_ii)."""
-    _require_converged(fit)
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie strictly in (0, 1).")
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    se = 1.0 / math.sqrt(fit.v_hat_diag[i])
-    return SingleCI(
-        i=i, point=float(fit.alpha_hat[i]), half_width=z * se, se=se, level=level
-    )
+    return _interval(fit, i, None, level)
 
 
 def standardized_contrast(fit: FitResult, i: int, j: int, alpha_star) -> float:
@@ -378,16 +353,3 @@ def inverse_approximation(alpha, q: int, max_n: int = 2000) -> InverseApproxRepo
         s_diag=s_diag,
         inv_inf_norm=float(np.max(np.abs(v_inv).sum(axis=1))),
     )
-
-
-def degree_deviation_bound(n: int, q: int) -> float:
-    """Threshold 2 (q-1) sqrt((n-1) log(n-1)) for noisy-degree deviations.
-
-    With overwhelming probability the released degrees stay within this
-    distance of their expectations, so larger observed deviations flag a
-    fit worth inspecting.
-    """
-    q = _check_q(q)
-    if n < 3:
-        raise ValueError("n must be >= 3.")
-    return 2.0 * (q - 1) * math.sqrt((n - 1) * math.log(n - 1))

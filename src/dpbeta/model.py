@@ -18,6 +18,11 @@ den lies in [1, q]; every function here is safe for arbitrarily large
 |alpha_i + alpha_j|.  Pair quantities are evaluated on the i < j pairs only
 and then scattered to the nodes.
 
+A graph (``WeightedGraph``) is its list of nonzero pairs i < j with their
+weights, the same form an edge-list file holds; degrees are scatters of
+those weights.  The only matrix built here is the Jacobian the Newton step
+factors.
+
 Nodes with equal parameters have equal moments, so the degree map, its
 variances and its Jacobian also take class multiplicities: one parameter
 per class of tied nodes and the number of nodes in it.  Their cost is then
@@ -51,52 +56,56 @@ def _check_q(q: int) -> int:
 
 @dataclass
 class WeightedGraph:
-    """Symmetric matrix of integer edge weights with zero diagonal.
+    """The nonzero-weight pairs of a graph on n nodes, as three arrays.
 
     Parameters
     ----------
-    weights:
-        (n, n) integer array, symmetric, zero diagonal, entries in
-        {0, ..., q-1}.
+    n:
+        Number of nodes (>= 2); nodes are 0, ..., n-1.
     q:
         Number of weight classes (>= 2).
+    i, j, w:
+        Equal-length integer vectors: pair k joins i[k] < j[k] with weight
+        w[k] in {1, ..., q-1}.  Pairs are listed once, in strictly
+        increasing row-major order (i*n + j); every pair not listed has
+        weight 0.
     """
 
-    weights: np.ndarray
+    n: int
     q: int
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        self.q = _check_q(self.q)
-        w = np.asarray(self.weights)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix.")
-        if w.shape[0] < 2:
-            raise ValueError("a graph needs at least 2 nodes.")
-        if not np.issubdtype(w.dtype, np.integer):
-            if not np.all(w == np.round(w)):
-                raise ValueError("weights must be integers.")
-            w = w.astype(np.int64)
-        else:
-            w = w.astype(np.int64)
-        if np.any(np.diagonal(w) != 0):
-            raise ValueError("self-loops are not allowed (nonzero diagonal).")
-        if not np.array_equal(w, w.T):
-            raise ValueError("weights must be symmetric.")
-        if w.min() < 0 or w.max() > self.q - 1:
-            raise ValueError(f"weights must lie in [0, {self.q - 1}].")
-        self.weights = w
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+        if self.n != int(self.n) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n}.")
+        self.n, self.q = int(self.n), _check_q(self.q)
+        arrays = []
+        for name in ("i", "j", "w"):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1:
+                raise ValueError(f"{name} must be a one-dimensional vector.")
+            if not np.issubdtype(a.dtype, np.integer) and not np.all(a == np.round(a)):
+                raise ValueError(f"{name} must hold integers.")
+            arrays.append(a.astype(np.int64, copy=False))
+        i, j, w = arrays
+        if not i.shape == j.shape == w.shape:
+            raise ValueError("i, j and w must have the same length.")
+        if np.any(i < 0) or np.any(j <= i) or np.any(j >= self.n):
+            raise ValueError(f"pairs must satisfy 0 <= i < j < n = {self.n}.")
+        if np.any(w < 1) or np.any(w > self.q - 1):
+            raise ValueError(f"weights must lie in [1, {self.q - 1}].")
+        if np.any(np.diff(i * self.n + j) <= 0):
+            raise ValueError("pairs must be distinct and in row-major order.")
+        self.i, self.j, self.w = i, j, w
 
     def degrees(self) -> np.ndarray:
-        """Row sums of the weight matrix, as integers."""
-        return self.weights.sum(axis=1)
-
-    def edge_count(self) -> int:
-        """Number of unordered pairs with nonzero weight."""
-        return int(np.count_nonzero(np.triu(self.weights, 1)))
+        """Weighted degrees d_v = sum of the weights of the pairs at v."""
+        d = np.zeros(self.n, dtype=np.int64)
+        np.add.at(d, self.i, self.w)
+        np.add.at(d, self.j, self.w)
+        return d
 
 
 def _shifted_exponentials(s, q: int):
@@ -179,8 +188,6 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
         Anything accepted by ``numpy.random.default_rng``.
     """
     n, q, iu, ju, s = _pair_sums(alpha, q)
-    if n < 2:
-        raise ValueError("need at least 2 nodes.")
     rng = np.random.default_rng(seed)
 
     cdf, _, den = _shifted_exponentials(s, q)
@@ -188,13 +195,10 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     np.cumsum(cdf, axis=0, out=cdf)
     cdf[-1] = 1.0  # guard against cumsum rounding below 1
 
-    u = rng.random(s.shape[0])
-    w = (u >= cdf).sum(axis=0)
-
-    weights = np.zeros((n, n), dtype=np.int64)
-    weights[iu, ju] = w
-    weights += weights.T
-    return WeightedGraph(weights=weights, q=q)
+    w = (rng.random(s.shape[0]) >= cdf).sum(axis=0)
+    del s, cdf, _, den  # free the pair temporaries before the edge arrays
+    nonzero = np.flatnonzero(w)
+    return WeightedGraph(n, q, iu[nonzero], ju[nonzero], w[nonzero])
 
 
 def _weight_moment(s, q: int, centred: bool) -> np.ndarray:
@@ -289,12 +293,13 @@ def log_likelihood(graph: WeightedGraph, alpha) -> float:
     """Log-likelihood of alpha given the graph, up to an additive constant.
 
     Each unordered pair contributes a_ij (alpha_i + alpha_j) minus the
-    log-partition term.  Diagnostic only: estimation works from degrees.
+    log-partition term, so the total is d . alpha - sum_{i<j} log Z.
+    Diagnostic only: estimation works from degrees.
     """
-    n, q, iu, ju, s = _pair_sums(alpha, graph.q)
+    n, q, _, _, s = _pair_sums(alpha, graph.q)
     if n != graph.n:
         raise ValueError(
             f"dimension mismatch: graph has {graph.n} nodes, alpha has {n}."
         )
     _, shift, den = _shifted_exponentials(s, q)
-    return float(np.sum(graph.weights[iu, ju] * s - (shift + np.log(den))))
+    return float(graph.degrees() @ _as_alpha(alpha) - np.sum(shift + np.log(den)))

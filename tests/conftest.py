@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -14,6 +15,14 @@ sys.path.insert(0, str(TESTS_DIR))  # make `oracles` importable
 # is not part of any property.
 settings.register_profile("dpbeta", derandomize=True, deadline=None, database=None)
 settings.load_profile("dpbeta")
+
+
+def dense(graph) -> np.ndarray:
+    """The graph's symmetric n-by-n weight matrix with zero diagonal."""
+    weights = np.zeros((graph.n, graph.n), dtype=np.int64)
+    weights[graph.i, graph.j] = graph.w
+    weights[graph.j, graph.i] = graph.w
+    return weights
 
 
 @pytest.fixture(scope="session")

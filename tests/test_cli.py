@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +16,18 @@ from dpbeta.edgelist import (
 from dpbeta.estimator import solve
 from dpbeta.model import WeightedGraph, sample_graph
 
+from conftest import dense
+
 
 class TestParseEdgeList:
     def test_small_file(self, tmp_path):
         p = tmp_path / "g.txt"
-        p.write_text("1 2 2\n2 3 1\n")
+        p.write_text("2 3 1\n2 1 2\n")  # neither sorted nor i < j
         g = parse_edge_list(p, q=3, n=3)
         assert g.n == 3
-        assert g.weights[0, 1] == 2 and g.weights[1, 0] == 2
-        assert g.weights[1, 2] == 1 and g.weights[0, 2] == 0
+        w = dense(g)
+        assert w[0, 1] == 2 and w[1, 0] == 2
+        assert w[1, 2] == 1 and w[0, 2] == 0
 
     def test_node_count_from_max_id(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -34,7 +38,7 @@ class TestParseEdgeList:
         p = tmp_path / "g.txt"
         p.write_text("# nothing\n")
         g = parse_edge_list(p, q=3, n=3)
-        assert g.n == 3 and g.weights.sum() == 0
+        assert g.n == 3 and g.w.size == 0
 
     def test_empty_file_without_n_fails(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -73,14 +77,14 @@ class TestParseEdgeList:
         p = tmp_path / "g.txt"
         write_edge_list(g, p)
         g2 = parse_edge_list(p, q=3, n=12)
-        np.testing.assert_array_equal(g.weights, g2.weights)
+        np.testing.assert_array_equal(dense(g), dense(g2))
 
 
 class TestZebraFixture:
     def test_shape(self, zebra_path):
         g = parse_edge_list(zebra_path, q=3)
         assert g.n == 28
-        assert g.edge_count() == 111
+        assert g.w.size == 111
 
     def test_prune_removes_vertex_eight(self, zebra_path):
         g = parse_edge_list(zebra_path, q=3)
@@ -97,15 +101,11 @@ class TestPruneIsolated:
         assert g.degrees().min() > 0
         pruned = prune_isolated(g)
         assert pruned.removed == []
-        np.testing.assert_array_equal(pruned.graph.weights, g.weights)
+        np.testing.assert_array_equal(dense(pruned.graph), dense(g))
 
     def test_star_with_missing_leaves(self):
         # center node 0 linked to 1..3 only; 4..7 have no edges
-        n = 8
-        w = np.zeros((n, n), dtype=int)
-        for leaf in (1, 2, 3):
-            w[0, leaf] = w[leaf, 0] = 1
-        g = WeightedGraph(w, 2)
+        g = WeightedGraph(8, 2, [0, 0, 0], [1, 2, 3], [1, 1, 1])
         pruned = prune_isolated(g)
         assert pruned.removed == [4, 5, 6, 7]
         assert pruned.graph.n == 4
@@ -114,9 +114,33 @@ class TestPruneIsolated:
         assert all(g.degrees()[v] > 0 for v in pruned.kept)
 
     def test_all_isolated_is_data_error(self):
-        g = WeightedGraph(np.zeros((4, 4), dtype=int), 2)
+        g = WeightedGraph(4, 2, [], [], [])
         with pytest.raises(DataError):
             prune_isolated(g)
+
+    def test_relabels_pairs_in_order(self):
+        # nodes 1 and 4 are isolated; 0, 2, 3, 5 become 0, 1, 2, 3
+        g = WeightedGraph(6, 3, [0, 0, 2, 3], [2, 5, 3, 5], [1, 2, 2, 1])
+        pruned = prune_isolated(g)
+        assert pruned.removed == [1, 4] and pruned.kept == [0, 2, 3, 5]
+        np.testing.assert_array_equal(
+            dense(pruned.graph), dense(g)[np.ix_(pruned.kept, pruned.kept)]
+        )
+
+    def test_memory_is_linear_in_edges(self, tmp_path):
+        # a path on 5000 nodes: its 5000 x 5000 weight matrix alone would
+        # take 200 MB
+        n = 5000
+        p = tmp_path / "path.txt"
+        p.write_text("".join(f"{v} {v + 1} 1\n" for v in range(1, n)))
+        tracemalloc.start()
+        try:
+            pruned = prune_isolated(parse_edge_list(p, q=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pruned.graph.n == n and pruned.removed == []
+        assert peak < 5 * 2**20
 
 
 class TestPipelineFit:

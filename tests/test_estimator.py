@@ -8,7 +8,6 @@ from scipy.stats import norm
 
 from dpbeta.estimator import (
     contrast_ci,
-    degree_deviation_bound,
     inverse_approximation,
     normal_quantile,
     residual,
@@ -244,6 +243,7 @@ class TestIntervals:
         )
         assert ci.lo < ci.point < ci.hi
         assert ci.half_width > 0
+        assert (ci.i, ci.j) == (0, 1)
 
     def test_single_matches_limit_of_contrast(self, fit):
         v = fit.v_hat_diag.copy()
@@ -256,6 +256,8 @@ class TestIntervals:
 
     def test_single_ci_formula(self, fit):
         ci = single_ci(fit, 2, 0.95)
+        assert (ci.i, ci.j) == (2, None)
+        assert ci.lo < ci.point < ci.hi
         assert ci.half_width == pytest.approx(
             normal_quantile(0.975) / math.sqrt(fit.v_hat_diag[2]), rel=1e-12
         )
@@ -268,15 +270,6 @@ class TestIntervals:
             single_ci(bad, 0)
         with pytest.raises(ValueError):
             standardized_contrast(bad, 0, 1, np.zeros(3))
-
-    def test_csv_rows(self, fit):
-        row = contrast_ci(fit, 0, 1, 0.95).csv_row()
-        parts = row.split(",")
-        assert len(parts) == 7
-        assert parts[0] == "0" and parts[1] == "1"
-        assert float(parts[3]) < float(parts[2]) < float(parts[4])
-        srow = single_ci(fit, 0, 0.95).csv_row()
-        assert srow.split(",")[1] == ""
 
 
 class TestStandardizedContrast:
@@ -326,23 +319,3 @@ class TestInverseApproximation:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             inverse_approximation(np.zeros(10), 2, max_n=5)
-
-
-class TestDegreeDeviationBound:
-    def test_small_case(self):
-        assert degree_deviation_bound(3, 2) == pytest.approx(
-            2 * math.sqrt(2 * math.log(2)), abs=1e-12
-        )
-        assert degree_deviation_bound(3, 2) == pytest.approx(2.3548, abs=1e-4)
-
-    def test_reference_value(self):
-        assert degree_deviation_bound(101, 3) == pytest.approx(
-            4 * math.sqrt(100 * math.log(100)), abs=1e-10
-        )
-        assert degree_deviation_bound(101, 3) == pytest.approx(85.84, abs=0.02)
-
-    def test_rejects_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            degree_deviation_bound(2, 2)
-        with pytest.raises(ValueError):
-            degree_deviation_bound(10, 1)

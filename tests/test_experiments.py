@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from dpbeta.experiments import (
+    ExperimentResult,
     ExperimentSpec,
+    PairSummary,
     default_pairs,
     epsilon_schedule,
     profile_scale,
@@ -143,11 +145,18 @@ class TestRunExperiment:
 class TestQQPoints:
     @staticmethod
     def _result_with_xi(xi):
+        # a study's result as run_experiment returns it, without running the
+        # replications: pair (1, 2) carries the given standardized contrasts
         spec = ExperimentSpec(n=10, q=2, reps=len(xi), master_seed=0)
-        res = run_experiment(spec)
-        summary = res.pair_summary((1, 2))
-        summary.xi = list(xi)
-        return res
+        pairs = [PairSummary(pair=p, coverage=1.0, mean_length=1.0) for p in spec.pairs]
+        pairs[0].xi = list(xi)
+        return ExperimentResult(
+            spec=spec,
+            pairs=pairs,
+            nonexistence=0.0,
+            reps_completed=len(xi),
+            converged=len(xi),
+        )
 
     def test_constant_zero_sample(self):
         res = self._result_with_xi([0.0] * 30)

@@ -18,6 +18,7 @@ from dpbeta.model import (
 )
 
 import oracles
+from conftest import dense
 
 
 class TestEdgeWeightPmf:
@@ -91,13 +92,13 @@ class TestSampleGraph:
 
     def test_very_negative_alpha_gives_empty_graph(self):
         g = sample_graph(-20.0 * np.ones(30), 3, seed=0)
-        assert g.weights.sum() == 0
+        assert g.w.size == 0
 
     def test_uniform_histogram_q3(self):
         n = 50
         g = sample_graph(np.zeros(n), 3, seed=1)
         iu = np.triu_indices(n, 1)
-        w = g.weights[iu]
+        w = dense(g)[iu]
         npairs = w.size
         se = math.sqrt((1 / 3) * (2 / 3) / npairs)
         for a in range(3):
@@ -106,10 +107,11 @@ class TestSampleGraph:
     def test_structure_and_determinism(self):
         g1 = sample_graph(np.linspace(-1, 1, 9), 4, seed=33)
         g2 = sample_graph(np.linspace(-1, 1, 9), 4, seed=33)
-        assert np.array_equal(g1.weights, g2.weights)
-        assert np.array_equal(g1.weights, g1.weights.T)
-        assert np.all(np.diagonal(g1.weights) == 0)
-        assert g1.weights.min() >= 0 and g1.weights.max() <= 3
+        w1 = dense(g1)
+        assert np.array_equal(w1, dense(g2))
+        assert np.array_equal(w1, w1.T)
+        assert np.all(np.diagonal(w1) == 0)
+        assert w1.min() >= 0 and w1.max() <= 3
 
     def test_chi_square_goodness_of_fit(self):
         # 1e5 draws per (s, q) case; graph of 448 nodes has >= 1e5 pairs
@@ -119,7 +121,7 @@ class TestSampleGraph:
             s = float(rng.uniform(-2, 2))
             q = int(rng.integers(2, 5))
             g = sample_graph(np.full(n, s / 2), q, seed=100 + trial)
-            w = g.weights[np.triu_indices(n, 1)]
+            w = dense(g)[np.triu_indices(n, 1)]
             counts = np.bincount(w, minlength=q)
             expected = edge_weight_pmf(s, q) * w.size
             chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -133,7 +135,7 @@ class TestSampleGraph:
         # the sampled weights of a fixed seed never change: one uniform per
         # pair in row-major order, compared against a recorded stream
         alpha = truth_profile(60, math.sqrt(math.log(60)))
-        w = sample_graph(alpha, q, seed=2002).weights
+        w = dense(sample_graph(alpha, q, seed=2002))
         assert hashlib.sha256(w.astype("<i8").tobytes()).hexdigest()[:16] == digest
 
 
@@ -281,7 +283,7 @@ class TestDegreeClasses:
 class TestLogLikelihood:
     def test_empty_graph_q2(self):
         n = 6
-        g = WeightedGraph(np.zeros((n, n), dtype=int), 2)
+        g = WeightedGraph(n, 2, [], [], [])
         expected = -math.comb(n, 2) * math.log(2)
         assert log_likelihood(g, np.zeros(n)) == pytest.approx(expected, abs=1e-12)
 
@@ -292,7 +294,8 @@ class TestLogLikelihood:
 
     def test_matches_term_by_term_oracle(self):
         weights = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
-        g = WeightedGraph(weights, 3)
+        g = WeightedGraph(3, 3, [0, 0], [1, 2], [2, 1])
+        np.testing.assert_array_equal(dense(g), weights)
         alpha = np.array([0.1, 0.2, -0.1])
         assert log_likelihood(g, alpha) == pytest.approx(
             oracles.log_likelihood_by_summation(weights, alpha, 3), abs=1e-12
@@ -305,27 +308,55 @@ class TestLogLikelihood:
 
 
 class TestWeightedGraphValidation:
-    def test_rejects_asymmetric(self):
-        w = np.zeros((3, 3), dtype=int)
-        w[0, 1] = 1
-        with pytest.raises(ValueError):
-            WeightedGraph(w, 2)
+    def test_accepts_valid_pairs(self):
+        g = WeightedGraph(4, 3, [0, 0, 2], [1, 3, 3], [2.0, 1.0, 1.0])
+        assert g.i.dtype == g.j.dtype == g.w.dtype == np.int64
+        np.testing.assert_array_equal(g.degrees(), [3, 2, 1, 2])
 
     def test_rejects_self_loop(self):
-        w = np.zeros((3, 3), dtype=int)
-        w[1, 1] = 1
         with pytest.raises(ValueError):
-            WeightedGraph(w, 2)
+            WeightedGraph(3, 2, [1], [1], [1])
+
+    def test_rejects_pair_not_above_diagonal(self):
+        # the lower-triangle entry (1, 0) of pair {0, 1}
+        with pytest.raises(ValueError):
+            WeightedGraph(3, 2, [1], [0], [1])
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (2, 5), (-1, 1)])
+    def test_rejects_id_outside_nodes(self, i, j):
+        with pytest.raises(ValueError):
+            WeightedGraph(3, 2, [i], [j], [1])
 
     def test_rejects_out_of_range_weight(self):
-        w = np.zeros((3, 3), dtype=int)
-        w[0, 1] = w[1, 0] = 2
+        for w in (0, 2, -1):  # zero-weight pairs are not listed; 2 >= q
+            with pytest.raises(ValueError):
+                WeightedGraph(3, 2, [0], [1], [w])
+
+    @pytest.mark.parametrize(
+        "i, j", [([0, 0], [1, 1]), ([0, 0], [2, 1]), ([1, 0], [2, 1])]
+    )
+    def test_rejects_repeated_or_unsorted_pairs(self, i, j):
         with pytest.raises(ValueError):
-            WeightedGraph(w, 2)
+            WeightedGraph(3, 2, i, j, [1, 1])
+
+    @pytest.mark.parametrize(
+        "n, i, j, w",
+        [
+            (3, [0, 0], [1, 2], [1]),  # mismatched lengths
+            (3, [0], [1.5], [1]),  # non-integer id
+            (3, [0], [1], [0.5]),  # non-integer weight
+            (3, [[0]], [[1]], [[1]]),  # not one-dimensional
+            (1, [], [], []),  # fewer than two nodes
+            (2.5, [0], [1], [1]),  # non-integer node count
+        ],
+    )
+    def test_rejects_malformed_arrays(self, n, i, j, w):
+        with pytest.raises(ValueError):
+            WeightedGraph(n, 3, i, j, w)
 
     def test_degrees_are_row_sums(self):
         g = sample_graph(np.zeros(5), 3, seed=9)
-        np.testing.assert_array_equal(g.degrees(), g.weights.sum(axis=1))
+        np.testing.assert_array_equal(g.degrees(), dense(g).sum(axis=1))
 
     def test_degree_sum_parity(self):
         # each edge contributes twice, so the total degree is even
