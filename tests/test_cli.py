@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbeta.cli import main, pipeline_fit
 from dpbeta.edgelist import (
@@ -17,6 +19,44 @@ from dpbeta.estimator import solve
 from dpbeta.model import WeightedGraph, sample_graph
 
 from conftest import dense
+
+
+def _scrambled(data, rows):
+    """The "i j w" rows shuffled, some written "j i w", with blank and
+    comment lines put in."""
+    rows = data.draw(st.permutations(rows))
+    swap = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows = [
+        f"{j} {i} {w}" if flip else f"{i} {j} {w}"
+        for (i, j, w), flip in zip((row.split() for row in rows), swap)
+    ]
+    fillers = st.sampled_from(["", "  ", "# c", "\t# 1 2 3"])
+    for at, filler in sorted(
+        data.draw(st.lists(st.tuples(st.integers(0, len(rows)), fillers), max_size=6)),
+        reverse=True,
+    ):
+        rows.insert(at, filler)
+    return rows
+
+
+def _fault(data, rows, n, q):
+    """One faulty line to insert into a valid file: (index, line, message)."""
+    edges = [k for k, row in enumerate(rows) if row.strip()[:1] not in ("", "#")]
+    kinds = ["fields", "integer", "self-loop", "weight"] + ["duplicate"] * bool(edges)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "duplicate":  # after the line it repeats
+        original = data.draw(st.sampled_from(edges))
+        i, j, w = map(int, rows[original].split())
+        at = data.draw(st.integers(original + 1, len(rows)))
+        return at, f"{j} {i} {w}", f"duplicate pair {min(i, j)} {max(i, j)}."
+    v = data.draw(st.integers(1, n))
+    line, message = {
+        "fields": ("1 2", "expected 'i j w', got '1 2'."),
+        "integer": ("1 x 2", "non-integer field in '1 x 2'."),
+        "self-loop": (f"{v} {v} 1", f"self-loop on node {v}."),
+        "weight": (f"1 2 {q}", f"weight {q} >= q = {q}."),
+    }[kind]
+    return data.draw(st.integers(0, len(rows))), line, message
 
 
 class TestParseEdgeList:
@@ -56,15 +96,84 @@ class TestParseEdgeList:
             ("1 2 3\n", 1),               # weight >= q
             ("1 2 0\n", 1),               # zero weight must be omitted
             ("0 2 1\n", 1),               # ids are 1-based
+            ("# c\n\n  \n1 2 1\n3 3 1\n", 5),  # comment and blank lines count
+            ("1 2 1 # x\n", 1),           # '#' opens a comment only at line start
+            ("1 2 1 4\n2 3 1\n", 1),      # extra field on the first line
+            ("1 2 1.0\n", 1),             # not an integer
+            ("1 2+1 1\n", 1),             # a sign only opens a field
+            ("1 -2 1\n", 1),              # negative id
+            ("1 2 1\r1 1 1\n", 2),         # a lone CR ends a line
+            ("1 2 1000000000000000001\n", 1),  # 19 digits, last 18 read 1
+            ("1 99999999999999999999 1\n", 1),  # beyond int64
+            (b"1 2 1\n# \xff\n", 2),       # not UTF-8
+            ("1 2 1\n1 3037000500 1\n", 2),  # id whose i*n + j can overflow
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, content, lineno):
         p = tmp_path / "g.txt"
-        p.write_text(content)
+        p.write_bytes(content if isinstance(content, bytes) else content.encode())
         with pytest.raises(EdgeListError) as err:
             parse_edge_list(p, q=3)
         assert err.value.line == lineno
         assert f"line {lineno}" in str(err.value)
+
+    def test_whitespace_and_line_endings_do_not_matter(self, tmp_path):
+        plain, messy = tmp_path / "plain.txt", tmp_path / "messy.txt"
+        plain.write_bytes(b"1 2 1\n2 4 2\n1 3 2\n")
+        messy.write_bytes(b"\t1\t2 1  \r\n  2   4\t2\r1  3 2 \t")
+        a, b = parse_edge_list(plain, q=3), parse_edge_list(messy, q=3)
+        assert a.n == b.n == 4
+        for name in "ijw":
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_repeats_are_reported_at_the_later_line(self, tmp_path):
+        # 3000 pairs in random order, then each again as "j i w" in another
+        # order: the first line of the second block is the first repeat
+        rng = np.random.default_rng(3)
+        pairs = [(i, j) for i in range(1, 100) for j in range(i + 1, 100)][:3000]
+        once, twice = rng.permutation(len(pairs)), rng.permutation(len(pairs))
+        p = tmp_path / "g.txt"
+        p.write_text(
+            "".join(f"{pairs[k][0]} {pairs[k][1]} 1\n" for k in once)
+            + "".join(f"{pairs[k][1]} {pairs[k][0]} 1\n" for k in twice)
+        )
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list(p, q=2)
+        i, j = pairs[twice[0]]
+        assert str(err.value) == f"line 3001: duplicate pair {i} {j}."
+
+    def test_largest_supported_id(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("1 3037000499 1\n")
+        g = parse_edge_list(p, q=2)
+        assert g.n == 3037000499 and g.j.tolist() == [3037000498]
+        with pytest.raises(EdgeListError, match="3037000499"):
+            parse_edge_list(p, q=2, n=3037000500)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_shuffled_file_parses_alike_and_faults_are_located(
+        self, tmp_path_factory, data
+    ):
+        n, q = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 5))
+        alpha = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n))
+        g = sample_graph(np.array(alpha), q, seed=data.draw(st.integers(0, 2**32 - 1)))
+        path = tmp_path_factory.mktemp("prop") / "g.txt"
+        write_edge_list(g, path)
+        rows = _scrambled(data, path.read_text().splitlines()[1:])
+        path.write_text("".join(row + "\n" for row in rows))
+        parsed = parse_edge_list(path, q, n=n)
+        assert parsed.n == n
+        for name in "ijw":
+            np.testing.assert_array_equal(getattr(parsed, name), getattr(g, name))
+
+        at, line, message = _fault(data, rows, n, q)
+        rows.insert(at, line)
+        path.write_text("".join(row + "\n" for row in rows))
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list(path, q, n=n)
+        assert err.value.line == at + 1
+        assert str(err.value) == f"line {at + 1}: {message}"
 
     def test_id_beyond_declared_n(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -337,6 +446,24 @@ class TestCliCommands:
         assert float(printed) == pytest.approx(2.0, abs=1e-10)
 
 
+class TestLargeEdgeList:
+    def test_pipeline_on_a_hundred_thousand_nodes(self, tmp_path):
+        # a ring (steps of 1) plus ~3e5 random chords (steps of 2..n-2), q = 3
+        n = 100_000
+        rng = np.random.default_rng(12)
+        a = np.concatenate([np.arange(n), rng.integers(0, n, 300_000)])
+        step = np.concatenate([np.ones(n, np.int64), rng.integers(2, n - 1, 300_000)])
+        b = (a + step) % n
+        key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+        g = WeightedGraph(n, 3, key // n, key % n, rng.integers(1, 3, key.size))
+        p = tmp_path / "big.txt"
+        write_edge_list(g, p)
+        assert main(["pipeline", "--input", str(p), "--q", "3", "--eps", "8",
+                     "--seed", "1", "--out-prefix", str(tmp_path / "big")]) == 0
+        fit_lines = (tmp_path / "big_fit.csv").read_text().splitlines()
+        assert len(fit_lines) == n + 1
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage(self):
         assert main(["frobnicate"]) == 1
@@ -370,6 +497,24 @@ class TestExitCodes:
         bad.write_text("1 1 1\n")
         assert main(["release", "--input", str(bad), "--q", "3", "--eps", "1",
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"1 99999999999999999999 1\n",  # beyond int64
+            b"1 2 1\n# \xff\n",  # not UTF-8
+            # ids above 3037000499: the row-major keys i*n + j of these two
+            # pairs differ by exactly 2**64
+            b"1 8589934592 1\n2147483649 8589934592 1\n",
+        ],
+        ids=["beyond-int64", "not-utf8", "key-overflow"],
+    )
+    def test_unreadable_edge_list_is_data_error(self, tmp_path, content, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        assert main(["pipeline", "--input", str(bad), "--q", "3", "--eps", "1",
+                     "--out-prefix", str(tmp_path / "o")]) == 2
+        assert "data error: line " in capsys.readouterr().err
 
     def test_bad_skew_ratio_is_usage_error(self, tmp_path, zebra_path):
         assert main(["release", "--input", str(zebra_path), "--q", "3",
