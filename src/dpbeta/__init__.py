@@ -21,9 +21,9 @@ from .estimator import (
     InverseApproxReport,
     contrast_ci,
     inverse_approximation,
+    node_intervals,
     normal_quantile,
     residual,
-    single_ci,
     solve,
     standardized_contrast,
 )
@@ -59,10 +59,7 @@ from .mechanisms import (
 from .model import (
     WeightedGraph,
     degree_jacobian,
-    edge_weight_pmf,
     expected_degrees,
-    log_likelihood,
-    mean_weight,
     sample_graph,
 )
 
@@ -90,12 +87,10 @@ __all__ = [
     "dlaplace_moments",
     "dlaplace_pmf",
     "dlaplace_tail",
-    "edge_weight_pmf",
     "epsilon_schedule",
     "expected_degrees",
     "inverse_approximation",
-    "log_likelihood",
-    "mean_weight",
+    "node_intervals",
     "normal_quantile",
     "parse_edge_list",
     "profile_scale",
@@ -107,7 +102,6 @@ __all__ = [
     "run_experiment",
     "sample_graph",
     "sample_noise",
-    "single_ci",
     "skew_dlaplace_moments",
     "skew_dlaplace_pmf",
     "skew_dlaplace_tail",

@@ -30,7 +30,7 @@ from .edgelist import (
     prune_isolated,
     write_edge_list,
 )
-from .estimator import ConfidenceInterval, FitResult, single_ci, solve
+from .estimator import FitResult, node_intervals, solve
 from .experiments import (
     ExperimentSpec,
     qq_points,
@@ -100,13 +100,19 @@ def write_manifest(
 
 @dataclass
 class PipelineOutput:
-    """Everything the end-to-end private fit produces."""
+    """Everything the end-to-end private fit produces.
+
+    Vertex ids are 1-based; ``se`` and ``half_width`` are per pruned node
+    and present only when the fit converged.
+    """
 
     release: DegreeRelease
     fit: FitResult
-    intervals: list[ConfidenceInterval]  # per node of the pruned graph
-    labels: list[int]  # 1-based original vertex ids, per pruned node
-    removed_labels: list[int]  # 1-based ids dropped by pruning
+    se: Optional[np.ndarray]
+    half_width: Optional[np.ndarray]
+    labels: np.ndarray  # original vertex id of each pruned node
+    removed_count: int  # vertices dropped by pruning
+    removed_ranges: list[tuple[int, int]]  # inclusive ranges of those ids
 
 
 def pipeline_fit(
@@ -121,40 +127,46 @@ def pipeline_fit(
     graph = parse_edge_list(path, q)
     if prune:
         pruned = prune_isolated(graph)
-        graph2, labels = pruned.graph, [k + 1 for k in pruned.kept]
-        removed = [k + 1 for k in pruned.removed]
+        graph, labels = pruned.graph, pruned.kept + 1
+        removed_count = pruned.removed_count
+        removed_ranges = [(a + 1, b + 1) for a, b in pruned.removed_ranges]
     else:
-        graph2, labels, removed = graph, list(range(1, graph.n + 1)), []
+        labels, removed_count, removed_ranges = np.arange(1, graph.n + 1), 0, []
 
     mechanism = calibrate(epsilon)
-    release = release_degrees(graph2.degrees(), mechanism, seed=seed, q=q)
+    release = release_degrees(graph.degrees(), mechanism, seed=seed, q=q)
     fit = solve(release.d_bar, q)
-
-    intervals = [single_ci(fit, i, level) for i in range(fit.n)] if fit.converged else []
+    se, half_width = node_intervals(fit, level) if fit.converged else (None, None)
     return PipelineOutput(
         release=release,
         fit=fit,
-        intervals=intervals,
+        se=se,
+        half_width=half_width,
         labels=labels,
-        removed_labels=removed,
+        removed_count=removed_count,
+        removed_ranges=removed_ranges,
     )
 
 
-def _fit_table_lines(out: PipelineOutput) -> list[str]:
-    lines = ["vertex,alpha_hat,ci_lo,ci_hi,se,degree_noisy"]
-    for node, ci in enumerate(out.intervals):
-        lines.append(
-            f"{out.labels[node]},{ci.point:.10g},{ci.lo:.10g},{ci.hi:.10g},"
-            f"{ci.se:.10g},{out.release.d_bar[node]}"
-        )
-    return lines
+def _fit_table(out: PipelineOutput) -> str:
+    alpha = out.fit.alpha_hat
+    rows = map(
+        "{},{:.10g},{:.10g},{:.10g},{:.10g},{}".format,
+        out.labels.tolist(),
+        alpha.tolist(),
+        (alpha - out.half_width).tolist(),
+        (alpha + out.half_width).tolist(),
+        out.se.tolist(),
+        out.release.d_bar.tolist(),
+    )
+    return "\n".join(["vertex,alpha_hat,ci_lo,ci_hi,se,degree_noisy", *rows]) + "\n"
 
 
-def _scatter_lines(out: PipelineOutput) -> list[str]:
-    lines = ["degree_noisy,alpha_hat"]
-    for node in range(out.fit.n):
-        lines.append(f"{out.release.d_bar[node]},{out.fit.alpha_hat[node]:.10g}")
-    return lines
+def _scatter_table(out: PipelineOutput) -> str:
+    rows = map(
+        "{},{:.10g}".format, out.release.d_bar.tolist(), out.fit.alpha_hat.tolist()
+    )
+    return "\n".join(["degree_noisy,alpha_hat", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +389,11 @@ def _cmd_pipeline(args) -> int:
         prune=not args.no_prune,
     )
     _check_theory_floor(args.eps, out.fit.n)
-    if out.removed_labels:
+    if out.removed_count:
         _note(
-            "pruned zero-degree vertices: "
-            + ", ".join(str(v) for v in out.removed_labels)
+            f"pruned {out.removed_count} zero-degree "
+            f"{'vertex' if out.removed_count == 1 else 'vertices'}: "
+            + ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out.removed_ranges)
         )
 
     prefix = Path(args.out_prefix)
@@ -390,9 +403,9 @@ def _cmd_pipeline(args) -> int:
 
     if out.fit.converged:
         fit_path = Path(str(prefix) + "_fit.csv")
-        fit_path.write_text("\n".join(_fit_table_lines(out)) + "\n", encoding="utf-8")
+        fit_path.write_text(_fit_table(out), encoding="utf-8")
         scatter_path = Path(str(prefix) + "_scatter.csv")
-        scatter_path.write_text("\n".join(_scatter_lines(out)) + "\n", encoding="utf-8")
+        scatter_path.write_text(_scatter_table(out), encoding="utf-8")
         outputs = [fit_path, scatter_path, release_path]
 
     write_manifest(

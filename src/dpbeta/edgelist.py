@@ -261,29 +261,46 @@ def write_edge_list(graph: WeightedGraph, path: Union[str, Path]) -> None:
 class PruneResult:
     """Graph with zero-degree nodes removed plus the index bookkeeping.
 
-    ``removed`` and ``kept`` hold 0-based indices into the original graph;
-    ``kept[k]`` is the original index of new node k.
+    Indices are 0-based into the original graph.  ``kept`` is the ascending
+    int64 array of surviving nodes, ``kept[k]`` the original index of new
+    node k.  The ``removed_count`` other nodes are listed as the inclusive
+    ranges ``(first, last)`` between kept ones, in increasing order.
     """
 
     graph: WeightedGraph
-    removed: list[int]
-    kept: list[int]
+    kept: np.ndarray
+    removed_count: int
+    removed_ranges: list[tuple[int, int]]
 
 
 def prune_isolated(graph: WeightedGraph) -> PruneResult:
     """Drop all nodes with degree zero, reindexing the survivors.
 
+    Memory is linear in the number of edges, whatever n is.
     Raises DataError if fewer than two nodes would remain.
     """
-    positive = graph.degrees() > 0
-    kept = np.flatnonzero(positive)
+    # a node has positive degree iff it is an endpoint, since weights are >= 1
+    ends = np.concatenate((graph.i, graph.j))
+    if graph.n <= ends.size:
+        # an n-long table takes no more memory than the endpoints, and a
+        # lookup in it is several times faster than sorting them
+        seen = np.zeros(graph.n, dtype=bool)
+        seen[ends] = True
+        kept = np.flatnonzero(seen)
+        ends = (np.cumsum(seen) - 1)[ends]
+    else:
+        kept, ends = np.unique(ends, return_inverse=True)
     if kept.size < 2:
         raise DataError("fewer than 2 nodes with positive degree remain.")
-    # every endpoint has positive degree; the monotone relabelling keeps
-    # i < j and the row-major order of the pairs
-    label = np.cumsum(positive) - 1
+    # the monotone relabelling keeps i < j and the row-major order of the pairs
+    m = graph.w.size
+    relabelled = WeightedGraph(kept.size, graph.q, ends[:m], ends[m:], graph.w)
+    before = np.concatenate(([-1], kept))  # each gap lies between these
+    after = np.concatenate((kept, [graph.n]))
+    gap = np.flatnonzero(after - before > 1)
     return PruneResult(
-        graph=WeightedGraph(kept.size, graph.q, label[graph.i], label[graph.j], graph.w),
-        removed=np.flatnonzero(~positive).tolist(),
-        kept=kept.tolist(),
+        graph=relabelled,
+        kept=kept,
+        removed_count=graph.n - kept.size,
+        removed_ranges=list(zip((before[gap] + 1).tolist(), (after[gap] - 1).tolist())),
     )

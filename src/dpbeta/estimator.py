@@ -2,13 +2,13 @@
 
 The estimate solves the moment equations
 
-    d_bar_i = sum_{j != i} mean_weight(alpha_i + alpha_j, q),  i = 1..n,
+    d_bar_i = sum_{j != i} E(a_ij | alpha_i + alpha_j),  i = 1..n,
 
 by damped Newton iteration.  The equations are the gradient of a strictly
 convex function, so they have at most one root, and nodes with equal noisy
 degree get equal estimates.  The solver therefore works on the K distinct
 noisy degrees, one parameter per class of tied nodes: each step is one
-K-by-K symmetric positive definite Cholesky factorization, whatever n is.
+K-by-K linear solve (LU, through ``numpy.linalg.solve``), whatever n is.
 Per-node precision comes from the plug-in diagonal of the Jacobian at the
 solution, which backs normal-approximation confidence intervals for single
 parameters and for contrasts.
@@ -28,7 +28,6 @@ from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .model import (
     _as_alpha,
@@ -131,8 +130,8 @@ def solve(
     into the K distinct values d_a of d_bar, with counts c_a, and every
     iterate is constant on each class: with P the n-by-K class-indicator
     matrix, the step for the class parameters beta solves the K-by-K
-    system (P^T V P) delta = C f, C = diag(c), by one Cholesky
-    factorization, and gives the same iterates as the n-by-n system.
+    system (P^T V P) delta = C f, C = diag(c), by one LU solve, and gives
+    the same iterates as the n-by-n system.
     Noisy degrees outside the open interval (0, (n-1)(q-1)) make the
     equations unsolvable, which is reported without iterating.
     """
@@ -169,15 +168,10 @@ def solve(
     iterations = 0
 
     while fnorm > tol and iterations < max_iter:
-        # P^T V P is symmetric, so its transpose is the same matrix in the
-        # Fortran order LAPACK factors in place.
-        m = degree_jacobian(beta, q, counts).T
         try:
-            factor = cho_factor(m, lower=True, overwrite_a=True, check_finite=False)
-            delta = cho_solve(factor, counts * f, check_finite=False)
-        except (LinAlgError, ValueError):
+            delta = np.linalg.solve(degree_jacobian(beta, q, counts), counts * f)
+        except np.linalg.LinAlgError:
             return _diverged(n, q, tol, iterations, fnorm)
-        del m, factor  # free before the next Jacobian
         if not np.all(np.isfinite(delta)):
             return _diverged(n, q, tol, iterations, fnorm)
         dnorm = float(np.max(np.abs(delta)))
@@ -245,11 +239,10 @@ def normal_quantile(p: float) -> float:
 
 @dataclass
 class ConfidenceInterval:
-    """Normal-approximation interval for alpha_i, or for the contrast
-    alpha_i - alpha_j when j is given."""
+    """Normal-approximation interval for the contrast alpha_i - alpha_j."""
 
     i: int
-    j: Optional[int]
+    j: int
     point: float
     half_width: float
     se: float
@@ -269,20 +262,11 @@ def _require_converged(fit: FitResult) -> None:
         raise ValueError(f"fit did not converge (status={fit.status}).")
 
 
-def _interval(
-    fit: FitResult, i: int, j: Optional[int], level: float
-) -> ConfidenceInterval:
-    _require_converged(fit)
+def _z(level: float) -> float:
+    """The two-sided normal critical value of a level in (0, 1)."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly in (0, 1).")
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    if j is None:
-        point = float(fit.alpha_hat[i])
-        se = 1.0 / math.sqrt(fit.v_hat_diag[i])
-    else:
-        point = float(fit.alpha_hat[i] - fit.alpha_hat[j])
-        se = math.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
-    return ConfidenceInterval(i, j, point, half_width=z * se, se=se, level=level)
+    return normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
 def contrast_ci(
@@ -291,12 +275,22 @@ def contrast_ci(
     """Interval alpha_hat_i - alpha_hat_j +- z * (1/v_ii + 1/v_jj)^(1/2)."""
     if i == j:
         raise ValueError("contrast needs two distinct nodes.")
-    return _interval(fit, i, j, level)
+    _require_converged(fit)
+    z = _z(level)
+    point = float(fit.alpha_hat[i] - fit.alpha_hat[j])
+    se = math.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
+    return ConfidenceInterval(i, j, point, half_width=z * se, se=se, level=level)
 
 
-def single_ci(fit: FitResult, i: int, level: float = 0.95) -> ConfidenceInterval:
-    """Interval alpha_hat_i +- z / sqrt(v_ii)."""
-    return _interval(fit, i, None, level)
+def node_intervals(
+    fit: FitResult, level: float = 0.95
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals alpha_hat_i +- z / sqrt(v_ii) for every node, as the arrays
+    (se, half_width) of standard errors 1 / sqrt(v_ii) and half-widths."""
+    _require_converged(fit)
+    z = _z(level)
+    se = 1.0 / np.sqrt(fit.v_hat_diag)
+    return se, z * se
 
 
 def standardized_contrast(fit: FitResult, i: int, j: int, alpha_star) -> float:

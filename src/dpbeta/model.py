@@ -6,9 +6,8 @@ its weight independently with
     P(a_ij = k) = exp(k * s) / sum_l exp(l * s),    s = alpha_i + alpha_j,
 
 so the degree sequence d_i = sum_{j != i} a_ij is sufficient for alpha.
-This module provides the distribution itself, graph sampling, the expected
-degree map, its Jacobian (which equals the covariance matrix of d), and the
-log-likelihood.
+This module provides graph sampling, the expected degree map and its
+Jacobian (which equals the covariance matrix of d).
 
 Each of these is a moment of that one q-class softmax, and all of them come
 from one kernel, ``_shifted_exponentials``: for pair sums s it returns the
@@ -21,7 +20,7 @@ and then scattered to the nodes.
 A graph (``WeightedGraph``) is its list of nonzero pairs i < j with their
 weights, the same form an edge-list file holds; degrees are scatters of
 those weights.  The only matrix built here is the Jacobian the Newton step
-factors.
+solves with.
 
 Nodes with equal parameters have equal moments, so the degree map, its
 variances and its Jacobian also take class multiplicities: one parameter
@@ -109,20 +108,19 @@ class WeightedGraph:
 
 
 def _shifted_exponentials(s, q: int):
-    """The edge-weight softmax at pair sums s, as (t, shift, den).
+    """The edge-weight softmax at pair sums s, as (t, den).
 
     t[k] = exp(k*s - shift) for k < q, with shift = (q-1) * max(s, 0) the
     largest exponent, so the largest term is exactly 1 and den = sum_k t[k]
-    lies in [1, q].  P(a = k) = t[k] / den and log Z(s) = shift + log(den).
-    The class index k is the leading axis of t, so every moment is a short
-    sum of contiguous arrays.
+    lies in [1, q]; P(a = k) = t[k] / den.  The class index k is the leading
+    axis of t, so every moment is a short sum of contiguous arrays.
     """
     s = np.asarray(s, dtype=float)
     shift = (q - 1) * np.maximum(s, 0.0)
     t = np.multiply.outer(np.arange(q, dtype=float), s)
     t -= shift
     np.exp(t, out=t)
-    return t, shift, t.sum(axis=0)
+    return t, t.sum(axis=0)
 
 
 @lru_cache(maxsize=1)
@@ -134,42 +132,6 @@ def _upper_pairs(k: int):
     for arr in pairs:
         arr.flags.writeable = False
     return pairs
-
-
-def _pair_sums(alpha, q: int):
-    """Validated (n, q, iu, ju, s): the pairs i < j in row-major order and
-    their sums s = alpha_i + alpha_j."""
-    a = _as_alpha(alpha)
-    iu, ju = np.triu_indices(a.shape[0], 1)
-    return a.shape[0], _check_q(q), iu, ju, a[iu] + a[ju]
-
-
-def edge_weight_pmf(s: float, q: int) -> np.ndarray:
-    """Probability vector of a single edge weight given the pair sum s.
-
-    Parameters
-    ----------
-    s:
-        The sum alpha_i + alpha_j for the pair. Must be finite.
-    q:
-        Number of weight classes.
-
-    Returns
-    -------
-    Length-q vector p with p[a] proportional to exp(a*s); sums to 1.
-    """
-    q = _check_q(q)
-    s = float(s)
-    if not np.isfinite(s):
-        raise ValueError("s must be finite.")
-    t, _, den = _shifted_exponentials(s, q)
-    return t / den
-
-
-def mean_weight(s: float, q: int) -> float:
-    """Expected edge weight sum_a a * P(a_ij = a); strictly increasing in s."""
-    p = edge_weight_pmf(s, q)
-    return float(np.arange(q) @ p)
 
 
 def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
@@ -187,18 +149,20 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     seed:
         Anything accepted by ``numpy.random.default_rng``.
     """
-    n, q, iu, ju, s = _pair_sums(alpha, q)
+    a, q = _as_alpha(alpha), _check_q(q)
+    iu, ju = np.triu_indices(a.shape[0], 1)
+    s = a[iu] + a[ju]
     rng = np.random.default_rng(seed)
 
-    cdf, _, den = _shifted_exponentials(s, q)
+    cdf, den = _shifted_exponentials(s, q)
     cdf /= den
     np.cumsum(cdf, axis=0, out=cdf)
     cdf[-1] = 1.0  # guard against cumsum rounding below 1
 
     w = (rng.random(s.shape[0]) >= cdf).sum(axis=0)
-    del s, cdf, _, den  # free the pair temporaries before the edge arrays
+    del s, cdf, den  # free the pair temporaries before the edge arrays
     nonzero = np.flatnonzero(w)
-    return WeightedGraph(n, q, iu[nonzero], ju[nonzero], w[nonzero])
+    return WeightedGraph(a.shape[0], q, iu[nonzero], ju[nonzero], w[nonzero])
 
 
 def _weight_moment(s, q: int, centred: bool) -> np.ndarray:
@@ -208,7 +172,7 @@ def _weight_moment(s, q: int, centred: bool) -> np.ndarray:
     than as E(a^2) - m^2, so saturated pair sums keep their tiny positive
     variance instead of cancelling to zero.
     """
-    t, _, den = _shifted_exponentials(s, q)
+    t, den = _shifted_exponentials(s, q)
     mean = np.arange(q, dtype=float) @ t / den
     if not centred:
         return mean
@@ -250,7 +214,8 @@ def _node_sums(k, c, iu, ju, pair, same) -> np.ndarray:
 
 
 def expected_degrees(alpha, q: int, counts=None) -> np.ndarray:
-    """Expected degree E(d_i) = sum_{j != i} mean_weight(alpha_i + alpha_j, q).
+    """Expected degree E(d_i) = sum_{j != i} E(a_ij), the mean edge weights
+    at the pair sums alpha_i + alpha_j.
 
     With counts, entry a of alpha stands for counts[a] nodes that share it,
     and entry a of the result is the expected degree of each of them.
@@ -287,19 +252,3 @@ def degree_jacobian(alpha, q: int, counts=None) -> np.ndarray:
     v *= c[:, None]
     np.fill_diagonal(v, c * (v_ii + (c - 1.0) * same))
     return v
-
-
-def log_likelihood(graph: WeightedGraph, alpha) -> float:
-    """Log-likelihood of alpha given the graph, up to an additive constant.
-
-    Each unordered pair contributes a_ij (alpha_i + alpha_j) minus the
-    log-partition term, so the total is d . alpha - sum_{i<j} log Z.
-    Diagnostic only: estimation works from degrees.
-    """
-    n, q, _, _, s = _pair_sums(alpha, graph.q)
-    if n != graph.n:
-        raise ValueError(
-            f"dimension mismatch: graph has {graph.n} nodes, alpha has {n}."
-        )
-    _, shift, den = _shifted_exponentials(s, q)
-    return float(graph.degrees() @ _as_alpha(alpha) - np.sum(shift + np.log(den)))

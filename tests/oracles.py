@@ -49,19 +49,6 @@ def expected_degrees_by_summation(alpha: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def log_likelihood_by_summation(weights: np.ndarray, alpha: np.ndarray, q: int) -> float:
-    """Term-by-term log-likelihood over unordered pairs."""
-    n = len(alpha)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = alpha[i] + alpha[j]
-            total += weights[i, j] * s - math.log(
-                sum(math.exp(k * s) for k in range(q))
-            )
-    return total
-
-
 def jacobian_by_finite_differences(
     alpha: np.ndarray, q: int, step: float = 1e-5
 ) -> np.ndarray:

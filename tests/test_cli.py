@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpbeta
 from dpbeta.cli import main, pipeline_fit
 from dpbeta.edgelist import (
     DataError,
@@ -198,7 +203,8 @@ class TestZebraFixture:
     def test_prune_removes_vertex_eight(self, zebra_path):
         g = parse_edge_list(zebra_path, q=3)
         pruned = prune_isolated(g)
-        assert pruned.removed == [7]  # 0-based index of vertex 8
+        assert pruned.removed_count == 1
+        assert pruned.removed_ranges == [(7, 7)]  # 0-based index of vertex 8
         assert pruned.graph.n == 27
         assert pruned.kept[0] + 1 == 1
         assert pruned.kept[7] + 1 == 9  # vertex 9 shifts into slot 7
@@ -209,18 +215,19 @@ class TestPruneIsolated:
         g = sample_graph(np.zeros(6), 2, seed=3)
         assert g.degrees().min() > 0
         pruned = prune_isolated(g)
-        assert pruned.removed == []
+        assert pruned.removed_count == 0 and pruned.removed_ranges == []
+        np.testing.assert_array_equal(pruned.kept, np.arange(6))
         np.testing.assert_array_equal(dense(pruned.graph), dense(g))
 
     def test_star_with_missing_leaves(self):
         # center node 0 linked to 1..3 only; 4..7 have no edges
         g = WeightedGraph(8, 2, [0, 0, 0], [1, 2, 3], [1, 1, 1])
         pruned = prune_isolated(g)
-        assert pruned.removed == [4, 5, 6, 7]
+        assert pruned.removed_count == 4 and pruned.removed_ranges == [(4, 7)]
         assert pruned.graph.n == 4
         # degree recomputation confirms exactly the removed set was isolated
-        assert all(g.degrees()[v] == 0 for v in pruned.removed)
-        assert all(g.degrees()[v] > 0 for v in pruned.kept)
+        np.testing.assert_array_equal(np.flatnonzero(g.degrees() == 0), np.arange(4, 8))
+        np.testing.assert_array_equal(pruned.kept, np.flatnonzero(g.degrees() > 0))
 
     def test_all_isolated_is_data_error(self):
         g = WeightedGraph(4, 2, [], [], [])
@@ -231,7 +238,8 @@ class TestPruneIsolated:
         # nodes 1 and 4 are isolated; 0, 2, 3, 5 become 0, 1, 2, 3
         g = WeightedGraph(6, 3, [0, 0, 2, 3], [2, 5, 3, 5], [1, 2, 2, 1])
         pruned = prune_isolated(g)
-        assert pruned.removed == [1, 4] and pruned.kept == [0, 2, 3, 5]
+        assert pruned.removed_count == 2 and pruned.removed_ranges == [(1, 1), (4, 4)]
+        assert pruned.kept.tolist() == [0, 2, 3, 5]
         np.testing.assert_array_equal(
             dense(pruned.graph), dense(g)[np.ix_(pruned.kept, pruned.kept)]
         )
@@ -248,8 +256,29 @@ class TestPruneIsolated:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pruned.graph.n == n and pruned.removed == []
+        assert pruned.graph.n == n and pruned.removed_count == 0
         assert peak < 5 * 2**20
+
+    def test_memory_is_linear_in_edges_not_ids(self, tmp_path, capsys):
+        # one 15-byte line naming vertex 10**7: nothing may be 10**7 long
+        p = tmp_path / "sparse.txt"
+        p.write_text("1 10000000 1\n")
+        tracemalloc.start()
+        try:
+            pruned = prune_isolated(parse_edge_list(p, q=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pruned.kept.tolist() == [0, 9_999_999]
+        assert pruned.removed_count == 9_999_998
+        assert pruned.removed_ranges == [(1, 9_999_998)]
+        assert peak < 2**20
+        assert main(["pipeline", "--input", str(p), "--q", "3", "--eps", "8",
+                     "--seed", "1", "--out-prefix", str(tmp_path / "s")]) == 0
+        err = capsys.readouterr().err
+        assert "pruned 9999998 zero-degree vertices: 2-9999999\n" in err
+        fit_lines = (tmp_path / "s_fit.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in fit_lines[1:]] == ["1", "10000000"]
 
 
 class TestPipelineFit:
@@ -280,8 +309,8 @@ class TestPipelineFit:
 
     def test_removed_labels_are_one_based(self, zebra_path):
         out = pipeline_fit(zebra_path, q=3, epsilon=1.0, seed=11)
-        assert out.removed_labels == [8]
-        assert out.labels[0] == 1 and len(out.labels) == 27
+        assert out.removed_count == 1 and out.removed_ranges == [(8, 8)]
+        assert out.labels[0] == 1 and out.labels[7] == 9 and len(out.labels) == 27
 
 
 class TestCliCommands:
@@ -462,6 +491,21 @@ class TestLargeEdgeList:
                      "--seed", "1", "--out-prefix", str(tmp_path / "big")]) == 0
         fit_lines = (tmp_path / "big_fit.csv").read_text().splitlines()
         assert len(fit_lines) == n + 1
+
+
+class TestImports:
+    def test_runtime_does_not_import_scipy(self):
+        src = str(Path(dpbeta.__file__).resolve().parents[1])
+        code = "import sys, dpbeta, dpbeta.cli; print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -9,14 +9,14 @@ from scipy.stats import norm
 from dpbeta.estimator import (
     contrast_ci,
     inverse_approximation,
+    node_intervals,
     normal_quantile,
     residual,
-    single_ci,
     solve,
     standardized_contrast,
 )
 from dpbeta.mechanisms import calibrate, sample_noise
-from dpbeta.model import degree_jacobian, edge_weight_pmf, expected_degrees, sample_graph
+from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
 from dpbeta.experiments import truth_profile
 
 import oracles
@@ -184,7 +184,7 @@ class TestDegreeClasses:
         else:
             x = ((m - 1) + math.sqrt((1 - m) ** 2 + 4 * (2 - m) * m)) / (2 * (2 - m))
         beta = math.log(x) / 2
-        p = edge_weight_pmf(2 * beta, q)
+        p = oracles.pmf_by_enumeration(2 * beta, q)
         k = np.arange(q)
         var = (n - 1) * float((k - k @ p) ** 2 @ p)
         fit = solve(np.full(n, d), q)
@@ -254,20 +254,21 @@ class TestIntervals:
         assert ci.half_width == pytest.approx(expected, rel=1e-5)
         fit.v_hat_diag = v
 
-    def test_single_ci_formula(self, fit):
-        ci = single_ci(fit, 2, 0.95)
-        assert (ci.i, ci.j) == (2, None)
-        assert ci.lo < ci.point < ci.hi
-        assert ci.half_width == pytest.approx(
-            normal_quantile(0.975) / math.sqrt(fit.v_hat_diag[2]), rel=1e-12
-        )
+    def test_node_intervals_formula(self, fit):
+        se, half = node_intervals(fit, 0.95)
+        assert se.shape == half.shape == (fit.n,)
+        for i in range(fit.n):
+            assert se[i] == pytest.approx(1 / math.sqrt(fit.v_hat_diag[i]), rel=1e-15)
+            assert half[i] == pytest.approx(normal_quantile(0.975) * se[i], rel=1e-15)
+        with pytest.raises(ValueError):
+            node_intervals(fit, 1.0)
 
     def test_non_converged_fit_is_usage_error(self):
         bad = solve([0, 1, 1], 2)
         with pytest.raises(ValueError):
             contrast_ci(bad, 0, 1)
         with pytest.raises(ValueError):
-            single_ci(bad, 0)
+            node_intervals(bad)
         with pytest.raises(ValueError):
             standardized_contrast(bad, 0, 1, np.zeros(3))
 

@@ -8,17 +8,26 @@ from scipy import stats
 from dpbeta.experiments import truth_profile
 from dpbeta.model import (
     WeightedGraph,
+    _shifted_exponentials,
     degree_jacobian,
     degree_variances,
-    edge_weight_pmf,
     expected_degrees,
-    log_likelihood,
-    mean_weight,
     sample_graph,
 )
 
 import oracles
 from conftest import dense
+
+
+def edge_weight_pmf(s: float, q: int) -> np.ndarray:
+    """P(a = k), k < q, at pair sum s, from the model's one kernel."""
+    t, den = _shifted_exponentials(s, q)
+    return t / den
+
+
+def mean_weight(s: float, q: int) -> float:
+    """E(a) at pair sum s: the expected degree in a graph of two nodes."""
+    return float(expected_degrees([s / 2, s / 2], q)[0])
 
 
 class TestEdgeWeightPmf:
@@ -56,12 +65,13 @@ class TestEdgeWeightPmf:
             )
 
     def test_rejects_bad_input(self):
+        # the kernel trusts its callers; the public moment functions check
         with pytest.raises(ValueError):
-            edge_weight_pmf(math.nan, 2)
+            mean_weight(math.nan, 2)
         with pytest.raises(ValueError):
-            edge_weight_pmf(math.inf, 3)
+            mean_weight(math.inf, 3)
         with pytest.raises(ValueError):
-            edge_weight_pmf(0.0, 1)
+            mean_weight(0.0, 1)
 
 
 class TestMeanWeight:
@@ -81,6 +91,11 @@ class TestMeanWeight:
         for q in (2, 3, 4):
             assert 0.0 < mean_weight(-30.0, q)
             assert mean_weight(30.0, q) <= q - 1
+            # pair sums far past exp's range: mean and variance stay finite
+            for s in (-800.0, 800.0):
+                assert 0.0 <= mean_weight(s, q) <= q - 1
+                var = degree_variances([s / 2, s / 2], q)[0]
+                assert np.isfinite(var) and var >= 0.0
 
 
 class TestSampleGraph:
@@ -123,7 +138,7 @@ class TestSampleGraph:
             g = sample_graph(np.full(n, s / 2), q, seed=100 + trial)
             w = dense(g)[np.triu_indices(n, 1)]
             counts = np.bincount(w, minlength=q)
-            expected = edge_weight_pmf(s, q) * w.size
+            expected = oracles.pmf_by_enumeration(s, q) * w.size
             chi2 = float(((counts - expected) ** 2 / expected).sum())
             assert chi2 < stats.chi2.ppf(0.999, q - 1)
 
@@ -278,33 +293,6 @@ class TestDegreeClasses:
     def test_rejects_bad_counts(self, counts):
         with pytest.raises(ValueError):
             expected_degrees(np.zeros(3), 2, counts)
-
-
-class TestLogLikelihood:
-    def test_empty_graph_q2(self):
-        n = 6
-        g = WeightedGraph(n, 2, [], [], [])
-        expected = -math.comb(n, 2) * math.log(2)
-        assert log_likelihood(g, np.zeros(n)) == pytest.approx(expected, abs=1e-12)
-
-    def test_any_graph_alpha_zero_q3(self):
-        g = sample_graph(np.linspace(-1, 1, 8), 3, seed=2)
-        expected = -math.comb(8, 2) * math.log(3)
-        assert log_likelihood(g, np.zeros(8)) == pytest.approx(expected, abs=1e-12)
-
-    def test_matches_term_by_term_oracle(self):
-        weights = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
-        g = WeightedGraph(3, 3, [0, 0], [1, 2], [2, 1])
-        np.testing.assert_array_equal(dense(g), weights)
-        alpha = np.array([0.1, 0.2, -0.1])
-        assert log_likelihood(g, alpha) == pytest.approx(
-            oracles.log_likelihood_by_summation(weights, alpha, 3), abs=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        g = sample_graph(np.zeros(4), 2, seed=1)
-        with pytest.raises(ValueError):
-            log_likelihood(g, np.zeros(5))
 
 
 class TestWeightedGraphValidation:
