@@ -354,20 +354,31 @@ def _cmd_fit(args) -> int:
         raise EdgeListError(f"release file {args.input}: {exc}") from None
     if not isinstance(payload, dict) or "d_bar" not in payload:
         raise EdgeListError(f"release file {args.input} lacks a d_bar field.")
-    q = args.q if args.q is not None else payload.get("q")
+    q = args.q
     if q is None:
-        raise EdgeListError("release file lacks q; pass --q.")
-    d_bar = np.asarray(payload["d_bar"], dtype=float)
+        q = payload.get("q")
+        if q is None:
+            raise EdgeListError("release file lacks q; pass --q.")
+        if isinstance(q, bool) or not isinstance(q, int) or q < 2:
+            raise DataError(f"release file {args.input}: q must be an integer >= 2.")
+    d_bar = payload["d_bar"]
+    if not isinstance(d_bar, list) or len(d_bar) < 2 or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in d_bar
+    ):
+        raise DataError(
+            f"release file {args.input}: d_bar must be a list of at least two numbers."
+        )
+    d_bar = np.asarray(d_bar, dtype=float)
     if not np.all(np.isfinite(d_bar)):
         raise DataError(f"release file {args.input}: d_bar holds non-finite values.")
-    fit = solve(d_bar, int(q), tol=args.tol, max_iter=args.max_iter)
+    fit = solve(d_bar, q, tol=args.tol, max_iter=args.max_iter)
     out = Path(args.out)
     out.write_text(fit.to_json() + "\n", encoding="utf-8")
     write_manifest(
         "fit",
         {
             "input": str(args.input),
-            "q": int(q),
+            "q": q,
             "tol": args.tol,
             "max_iter": args.max_iter,
             "out": str(out),

@@ -22,7 +22,6 @@ Both outcomes are reported as data, not raised.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional
@@ -41,6 +40,9 @@ STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "nonexistent_infeasible_degree"
 STATUS_DIVERGED = "nonexistent_diverged"
 
+# Bound on the sup norm of one raw Newton step: keeps distant starting points
+# from overshooting into regions where the Jacobian degenerates.
+_STEP_CAP = 5.0
 _MIN_STEP = 2.0**-40
 
 
@@ -102,7 +104,6 @@ def solve(
     q: int,
     tol: float = 1e-10,
     max_iter: int = 200,
-    step_cap: float = 5.0,
 ) -> FitResult:
     """Solve the moment equations for the node parameters.
 
@@ -114,13 +115,9 @@ def solve(
     q:
         Weight-class count of the generating model.
     tol:
-        Convergence threshold on the sup norm of the residual.
+        Convergence threshold on the sup norm of the residual, 0 < tol < inf.
     max_iter:
         Newton iteration budget.
-    step_cap:
-        Bound on the sup norm of one raw Newton step; keeps distant
-        starting points from overshooting into regions where the Jacobian
-        degenerates.
 
     Notes
     -----
@@ -141,8 +138,8 @@ def solve(
         raise ValueError("d_bar must be a vector of length >= 2.")
     if not np.all(np.isfinite(d_bar)):
         raise ValueError("d_bar must contain only finite values.")
-    if tol <= 0:
-        raise ValueError("tol must be > 0.")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must satisfy 0 < tol < inf.")
     n = d_bar.shape[0]
     dmax = (n - 1) * (q - 1)
 
@@ -175,8 +172,8 @@ def solve(
         if not np.all(np.isfinite(delta)):
             return _diverged(n, q, tol, iterations, fnorm)
         dnorm = float(np.max(np.abs(delta)))
-        if dnorm > step_cap:
-            delta = delta * (step_cap / dnorm)
+        if dnorm > _STEP_CAP:
+            delta = delta * (_STEP_CAP / dnorm)
 
         step = 1.0
         accepted = False
@@ -233,13 +230,17 @@ def normal_quantile(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# confidence intervals and standardized contrasts
+# confidence intervals
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ConfidenceInterval:
-    """Normal-approximation interval for the contrast alpha_i - alpha_j."""
+    """Normal-approximation interval for the contrast alpha_i - alpha_j.
+
+    When the nodes are given as index arrays, ``i``, ``j``, ``point``,
+    ``half_width`` and ``se`` are arrays with one entry per pair.
+    """
 
     i: int
     j: int
@@ -269,16 +270,18 @@ def _z(level: float) -> float:
     return normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
-def contrast_ci(
-    fit: FitResult, i: int, j: int, level: float = 0.95
-) -> ConfidenceInterval:
-    """Interval alpha_hat_i - alpha_hat_j +- z * (1/v_ii + 1/v_jj)^(1/2)."""
-    if i == j:
+def contrast_ci(fit: FitResult, i, j, level: float = 0.95) -> ConfidenceInterval:
+    """Interval alpha_hat_i - alpha_hat_j +- z * (1/v_ii + 1/v_jj)^(1/2).
+
+    ``i`` and ``j`` are node indices, or equal-length index arrays for one
+    interval per pair.
+    """
+    if np.any(np.asarray(i) == np.asarray(j)):
         raise ValueError("contrast needs two distinct nodes.")
     _require_converged(fit)
     z = _z(level)
-    point = float(fit.alpha_hat[i] - fit.alpha_hat[j])
-    se = math.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
+    point = fit.alpha_hat[i] - fit.alpha_hat[j]
+    se = np.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
     return ConfidenceInterval(i, j, point, half_width=z * se, se=se, level=level)
 
 
@@ -291,23 +294,6 @@ def node_intervals(
     z = _z(level)
     se = 1.0 / np.sqrt(fit.v_hat_diag)
     return se, z * se
-
-
-def standardized_contrast(fit: FitResult, i: int, j: int, alpha_star) -> float:
-    """Estimated contrast error scaled by its plug-in standard error.
-
-    [alpha_hat_i - alpha_hat_j - (alpha_star_i - alpha_star_j)]
-    / (1/v_ii + 1/v_jj)^(1/2); approximately standard normal for converged
-    fits when the model holds.  Requires the true parameters, so this is a
-    simulation-side quantity.
-    """
-    _require_converged(fit)
-    if i == j:
-        raise ValueError("contrast needs two distinct nodes.")
-    truth = _as_alpha(alpha_star)
-    num = (fit.alpha_hat[i] - fit.alpha_hat[j]) - (truth[i] - truth[j])
-    den = math.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

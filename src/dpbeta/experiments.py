@@ -21,13 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import (
-    FitResult,
-    contrast_ci,
-    normal_quantile,
-    solve,
-    standardized_contrast,
-)
+from .estimator import FitResult, contrast_ci, normal_quantile, solve
 from .mechanisms import calibrate, sample_noise
 from .model import sample_graph
 
@@ -95,13 +89,15 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("n must be >= 3.")
         if self.reps < 1:
             raise ValueError("reps must be >= 1.")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie strictly in (0, 1).")
         # validate modes eagerly
-        profile_scale(self.l_mode, max(self.n, 3))
-        epsilon_schedule(self.eps_mode, max(self.n, 3))
+        profile_scale(self.l_mode, self.n)
+        epsilon_schedule(self.eps_mode, self.n)
         if self.pairs is None:
             self.pairs = default_pairs(self.n)
         self.pairs = tuple((int(i), int(j)) for i, j in self.pairs)
@@ -172,6 +168,12 @@ def child_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=tuple(key))
 
 
+def _study_setup(l_mode: str, eps_mode: str, n: int):
+    """The truth profile and the calibrated noise mechanism at size n."""
+    alpha_star = truth_profile(n, profile_scale(l_mode, n))
+    return alpha_star, calibrate(epsilon_schedule(eps_mode, n))
+
+
 def _replicate(
     alpha_star: np.ndarray, q: int, mechanism, seed: np.random.SeedSequence
 ) -> FitResult:
@@ -189,49 +191,33 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Deterministic given (spec, master_seed).  Nonexistent estimates count
     toward the nonexistence frequency and contribute nothing else.
     """
-    scale = profile_scale(spec.l_mode, spec.n)
-    eps = epsilon_schedule(spec.eps_mode, spec.n)
-    alpha_star = truth_profile(spec.n, scale)
-    mechanism = calibrate(eps)
-    pairs0 = [(i - 1, j - 1) for i, j in spec.pairs]
+    alpha_star, mechanism = _study_setup(spec.l_mode, spec.eps_mode, spec.n)
+    i, j = np.array(spec.pairs).T - 1
+    truth = alpha_star[i] - alpha_star[j]
 
-    covered = np.zeros(len(pairs0), dtype=np.int64)
-    length_sum = np.zeros(len(pairs0))
-    xi_lists: list[list[float]] = [[] for _ in pairs0]
-    converged = 0
+    covered = np.zeros(len(spec.pairs), dtype=np.int64)
+    length_sum = np.zeros(len(spec.pairs))
+    xi_rows = []
 
     for rep in range(spec.reps):
         fit = _replicate(alpha_star, spec.q, mechanism, child_seed(spec.master_seed, rep))
         if not fit.converged:
             continue
-        converged += 1
-        for k, (i, j) in enumerate(pairs0):
-            ci = contrast_ci(fit, i, j, spec.level)
-            truth = alpha_star[i] - alpha_star[j]
-            if abs(ci.point - truth) <= ci.half_width:
-                covered[k] += 1
-            length_sum[k] += ci.half_width
-            xi_lists[k].append(standardized_contrast(fit, i, j, alpha_star))
+        ci = contrast_ci(fit, i, j, spec.level)
+        covered += np.abs(ci.point - truth) <= ci.half_width
+        length_sum += ci.half_width
+        xi_rows.append((ci.point - truth) / ci.se)
 
-    summaries = []
-    for k, pair in enumerate(spec.pairs):
-        if converged:
-            coverage = covered[k] / converged
-            mean_len = length_sum[k] / converged
-        else:
-            coverage = math.nan
-            mean_len = math.nan
-        summaries.append(
-            PairSummary(
-                pair=pair,
-                coverage=float(coverage),
-                mean_length=float(mean_len),
-                xi=xi_lists[k],
-            )
-        )
+    converged = len(xi_rows)
+    with np.errstate(invalid="ignore"):  # no converged replication gives nan
+        coverage, mean_length = covered / converged, length_sum / converged
+    xi = np.reshape(xi_rows, (-1, len(spec.pairs))).T.tolist()
     return ExperimentResult(
         spec=spec,
-        pairs=summaries,
+        pairs=[
+            PairSummary(pair, float(c), float(m), x)
+            for pair, c, m, x in zip(spec.pairs, coverage, mean_length, xi)
+        ],
         nonexistence=(spec.reps - converged) / spec.reps,
         reps_completed=spec.reps,
         converged=converged,
@@ -281,12 +267,11 @@ def rate_study(
     sizes = list(n_list)
     if sizes != sorted(sizes):
         raise ValueError("n_list must be increasing.")
+    if reps < 1:
+        raise ValueError("reps must be >= 1.")
     rows = []
     for n in sizes:
-        scale = profile_scale(l_mode, n)
-        eps = epsilon_schedule(eps_mode, n)
-        alpha_star = truth_profile(n, scale)
-        mechanism = calibrate(eps)
+        alpha_star, mechanism = _study_setup(l_mode, eps_mode, n)
         errors = []
         for rep in range(reps):
             fit = _replicate(

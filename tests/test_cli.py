@@ -23,7 +23,7 @@ from dpbeta.edgelist import (
 from dpbeta.estimator import solve
 from dpbeta.model import WeightedGraph, sample_graph
 
-from conftest import dense
+from conftest import REPO_ROOT, dense
 
 
 def _scrambled(data, rows):
@@ -507,6 +507,14 @@ class TestImports:
         )
         assert done.stdout.strip() == "False"
 
+    def test_readme_library_example_runs(self, capsys):
+        # the README's "Library" block, run verbatim against the package
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage(self):
@@ -527,13 +535,40 @@ class TestExitCodes:
                      "--q", "3", "--eps", "1",
                      "--out", str(tmp_path / "o.json")]) == 2
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_release_is_data_error(self, tmp_path, token, capsys):
+    @pytest.mark.parametrize(
+        "release,fragment",
+        [
+            *(
+                pytest.param(
+                    '{"q": 2, "d_bar": [%s, 2, 2, 2, 2]}' % token, "non-finite", id=token
+                )
+                for token in ("NaN", "Infinity", "-Infinity")
+            ),
+            pytest.param('{"q": 3.7, "d_bar": [2, 2, 2]}', "q must be", id="q-3.7"),
+            pytest.param('{"q": true, "d_bar": [1, 1, 1]}', "q must be", id="q-true"),
+            pytest.param('{"q": 1, "d_bar": [1, 1, 1]}', "q must be", id="q-1"),
+            pytest.param('{"q": 2, "d_bar": ["a", "b"]}', "list of", id="d_bar-str"),
+            pytest.param('{"q": 2, "d_bar": 5}', "list of", id="d_bar-scalar"),
+            pytest.param('{"q": 2, "d_bar": [[1, 1]]}', "list of", id="d_bar-2d"),
+            pytest.param('{"q": 2, "d_bar": [1]}', "list of", id="d_bar-short"),
+        ],
+    )
+    def test_non_finite_release_is_data_error(self, tmp_path, release, fragment, capsys):
         rel = tmp_path / "rel.json"
-        rel.write_text('{"q": 2, "d_bar": [%s, 2, 2, 2, 2]}' % token)
+        rel.write_text(release)
         fitp = tmp_path / "fit.json"
         assert main(["fit", "--input", str(rel), "--out", str(fitp)]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
+        assert not fitp.exists()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_is_rejected(self, tmp_path, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve([2, 3, 4, 5], 3, tol=tol)
+        rel = tmp_path / "rel.json"
+        rel.write_text('{"q": 3, "d_bar": [2, 3, 4, 5]}')
+        fitp = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(rel), f"--tol={tol}", "--out", str(fitp)]) == 1
         assert not fitp.exists()
 
     def test_malformed_edge_list_is_data_error(self, tmp_path):

@@ -13,7 +13,6 @@ from dpbeta.estimator import (
     normal_quantile,
     residual,
     solve,
-    standardized_contrast,
 )
 from dpbeta.mechanisms import calibrate, sample_noise
 from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
@@ -269,26 +268,28 @@ class TestIntervals:
             contrast_ci(bad, 0, 1)
         with pytest.raises(ValueError):
             node_intervals(bad)
-        with pytest.raises(ValueError):
-            standardized_contrast(bad, 0, 1, np.zeros(3))
 
+    def test_index_arrays_give_one_interval_per_pair(self, fit):
+        i, j = np.array([0, 2, 7]), np.array([1, 5, 0])
+        ci = contrast_ci(fit, i, j, 0.9)
+        for k in range(3):
+            one = contrast_ci(fit, int(i[k]), int(j[k]), 0.9)
+            assert (ci.point[k], ci.se[k], ci.half_width[k]) == (
+                one.point, one.se, one.half_width
+            )
+        with pytest.raises(ValueError, match="distinct"):
+            contrast_ci(fit, i, np.array([1, 2, 0]))
 
-class TestStandardizedContrast:
-    def test_zero_when_estimate_matches_truth(self):
-        g = sample_graph(np.zeros(6), 3, seed=31)
-        fit = solve(g.degrees(), 3)
-        assert fit.converged
-        assert standardized_contrast(fit, 0, 1, fit.alpha_hat) == 0.0
-
-    def test_known_value(self):
-        g = sample_graph(np.zeros(6), 3, seed=31)
-        fit = solve(g.degrees(), 3)
-        assert fit.converged
-        fit.v_hat_diag = np.full(6, 8.0)
-        truth = fit.alpha_hat.copy()
-        truth[0] -= 0.1  # makes the numerator exactly 0.1
-        # denominator sqrt(1/8 + 1/8) = 1/2
-        assert standardized_contrast(fit, 0, 1, truth) == pytest.approx(0.2, abs=1e-12)
+    def test_standardized_contrast(self, fit):
+        # xi = (point - true contrast) / se, as run_experiment records it
+        i, j = np.array([0, 2]), np.array([1, 3])
+        ci = contrast_ci(fit, i, j)
+        truth = fit.alpha_hat[i] - fit.alpha_hat[j]
+        assert ((ci.point - truth) / ci.se).tolist() == [0.0, 0.0]
+        fit.v_hat_diag = np.full(fit.n, 8.0)
+        ci = contrast_ci(fit, i, j)
+        # numerator 0.1, denominator sqrt(1/8 + 1/8) = 1/2
+        np.testing.assert_allclose((ci.point - (truth - 0.1)) / ci.se, 0.2, atol=1e-12)
 
 
 class TestInverseApproximation:

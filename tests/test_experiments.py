@@ -74,6 +74,9 @@ class TestSpecValidation:
             ExperimentSpec(n=10, q=2, level=1.0)
         with pytest.raises(ValueError):
             ExperimentSpec(n=10, q=2, reps=0)
+        for n in (2, 0):
+            with pytest.raises(ValueError, match="n must be >= 3"):
+                ExperimentSpec(n=n, q=2)
 
 
 class TestRunExperiment:
@@ -212,6 +215,9 @@ class TestRateStudy:
     def test_rejects_decreasing_sizes(self):
         with pytest.raises(ValueError):
             rate_study([100, 50], 3)
+        for reps in (0, -3):
+            with pytest.raises(ValueError, match="reps must be >= 1"):
+                rate_study([20], 3, reps=reps)
 
 
 class TestReproducibility:
