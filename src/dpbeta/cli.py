@@ -32,6 +32,7 @@ from .edgelist import (
 )
 from .estimator import FitResult, node_intervals, solve
 from .experiments import (
+    QQ_MIN_VALUES,
     ExperimentSpec,
     qq_points,
     rate_study,
@@ -453,10 +454,14 @@ def _cmd_qq(args) -> int:
         raise UsageError("--pair takes exactly one i:j pair.")
     spec = _experiment_spec(args, pairs_override=pair)
     result = run_experiment(spec)
-    try:
-        points = qq_points(result, pair[0])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if result.converged < QQ_MIN_VALUES:
+        _note(
+            f"too few estimates exist for a QQ plot: {result.converged} of "
+            f"{result.reps_completed} replications converged, and at least "
+            f"{QQ_MIN_VALUES} are needed; nothing written."
+        )
+        return EXIT_NONEXISTENT
+    points = qq_points(result, pair[0])
     out = Path(args.out)
     lines = ["theoretical,empirical"] + [
         f"{t:.10g},{e:.10g}" for t, e in points

@@ -224,8 +224,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
+# The fewest standardized contrasts ``qq_points`` pairs with quantiles.
+QQ_MIN_VALUES = 30
+
+
 def qq_points(
-    result: ExperimentResult, pair: tuple[int, int], min_count: int = 30
+    result: ExperimentResult, pair: tuple[int, int], min_count: int = QQ_MIN_VALUES
 ) -> list[tuple[float, float]]:
     """Normal QQ pairing of the standardized contrasts for one tracked pair.
 

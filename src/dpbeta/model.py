@@ -22,6 +22,15 @@ weights, the same form an edge-list file holds; degrees are scatters of
 those weights.  The only matrix built here is the Jacobian the Newton step
 solves with.
 
+Sampling draws one uniform per pair, in row-major i < j order, and counts
+the pair's cdf thresholds it reaches.  The thresholds depend only on (alpha,
+q), and every replication of a study samples at the same truth, so
+``sample_graph`` keeps those of its last (alpha, q) in a one-slot cache,
+keyed on q and the bytes of alpha, when they fit a fixed 64 MB budget (q=3
+up to n ~ 2900).  They are built in blocks of 2**16 pairs to bound the
+temporaries.  A cached call draws the same uniforms as an uncached one, so
+no graph depends on the cache.
+
 Nodes with equal parameters have equal moments, so the degree map, its
 variances and its Jacobian also take class multiplicities: one parameter
 per class of tied nodes and the number of nodes in it.  Their cost is then
@@ -134,11 +143,67 @@ def _upper_pairs(k: int):
     return pairs
 
 
+# The thresholds of the last (alpha, q) sampled are kept if they take at
+# most this many bytes: 64 MB holds q=3 up to n ~ 2900.  Bigger sizes are
+# rebuilt on every call.
+_THRESHOLD_BUDGET = 64 * 2**20
+# Pairs per block of the threshold build; it bounds the pair-sum and
+# softmax temporaries.
+_BLOCK_PAIRS = 2**16
+# At most one entry, (q, alpha bytes) -> (thresholds, row starts).
+_threshold_cache: dict = {}
+
+
+def _pair_nodes(flat: np.ndarray, starts: np.ndarray):
+    """The nodes i < j of the pairs at the sorted row-major indices flat,
+    given the index at which each row's pairs start."""
+    rows = np.arange(starts.shape[0])
+    per_row = np.diff(np.searchsorted(flat, starts), append=flat.size)
+    return np.repeat(rows, per_row), flat - np.repeat(starts - rows - 1, per_row)
+
+
+def _pair_thresholds(a: np.ndarray, q: int):
+    """The cdf thresholds of every pair i < j, as a (q-1, P) array in
+    row-major pair order, and the index at which each row's pairs start.
+
+    Threshold k of a pair is P(a_ij <= k).  The last cdf value, 1, is left
+    out: no uniform in [0, 1) reaches it.  The thresholds are built in
+    blocks of ``_BLOCK_PAIRS`` pairs; the last answer is kept, read-only,
+    if it fits ``_THRESHOLD_BUDGET``.
+    """
+    key = (q, a.tobytes())
+    if key in _threshold_cache:
+        return _threshold_cache[key]
+    _threshold_cache.clear()
+    n = a.shape[0]
+    rows = np.arange(n)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    thresholds = np.empty((q - 1, pairs))
+    for lo in range(0, pairs, _BLOCK_PAIRS):
+        i, j = _pair_nodes(np.arange(lo, min(lo + _BLOCK_PAIRS, pairs)), starts)
+        t, den = _shifted_exponentials(a[i] + a[j], q)
+        cdf = thresholds[:, lo : lo + i.size]
+        np.divide(t[:-1], den, out=cdf)
+        for k in range(1, q - 1):
+            cdf[k] += cdf[k - 1]
+    if thresholds.nbytes <= _THRESHOLD_BUDGET:
+        thresholds.flags.writeable = False
+        starts.flags.writeable = False
+        _threshold_cache[key] = (thresholds, starts)
+    return thresholds, starts
+
+
 def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     """Draw a graph with independent multinomial edge weights.
 
     Pairs are enumerated in row-major i < j order, one uniform draw per
-    pair, so identical seeds give identical graphs.
+    pair (a single ``rng.random(P)`` call), so identical seeds give
+    identical graphs.  A pair's weight is the number of its cdf thresholds
+    its uniform reaches.  The thresholds depend only on (alpha, q): the
+    last ones built are kept in a one-slot cache within a fixed byte budget
+    (see ``_pair_thresholds``), so a repeated call, as in every replication
+    of a study, only draws its uniforms.  The cache changes no draw.
 
     Parameters
     ----------
@@ -150,19 +215,13 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
         Anything accepted by ``numpy.random.default_rng``.
     """
     a, q = _as_alpha(alpha), _check_q(q)
-    iu, ju = np.triu_indices(a.shape[0], 1)
-    s = a[iu] + a[ju]
     rng = np.random.default_rng(seed)
-
-    cdf, den = _shifted_exponentials(s, q)
-    cdf /= den
-    np.cumsum(cdf, axis=0, out=cdf)
-    cdf[-1] = 1.0  # guard against cumsum rounding below 1
-
-    w = (rng.random(s.shape[0]) >= cdf).sum(axis=0)
-    del s, cdf, den  # free the pair temporaries before the edge arrays
-    nonzero = np.flatnonzero(w)
-    return WeightedGraph(a.shape[0], q, iu[nonzero], ju[nonzero], w[nonzero])
+    thresholds, starts = _pair_thresholds(a, q)
+    u = rng.random(thresholds.shape[1])
+    w = (u >= thresholds).sum(axis=0, dtype=np.min_scalar_type(q - 1))
+    del u  # free the uniforms before the edge arrays
+    flat = np.flatnonzero(w)
+    return WeightedGraph(a.shape[0], q, *_pair_nodes(flat, starts), w[flat])
 
 
 def _weight_moment(s, q: int, centred: bool) -> np.ndarray:

@@ -610,3 +610,14 @@ class TestExitCodes:
         assert code == 3
         assert (tmp_path / "t_release.json").exists()
         assert not (tmp_path / "t_fit.csv").exists()
+
+    def test_qq_too_few_converged_is_exit_three(self, tmp_path, capsys):
+        # valid flags, but at this privacy level no estimate exists in any
+        # of the 40 replications: a property of the data, not a usage error
+        out = tmp_path / "qq.csv"
+        code = main(["qq", "--n", "100", "--q", "3", "--L", "sqrtlog",
+                     "--eps", "logn_over_n12", "--reps", "40", "--seed", "5",
+                     "--pair", "50:51", "--out", str(out)])
+        assert code == 3
+        assert "0 of 40 replications converged" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

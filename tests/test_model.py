@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dpbeta.experiments import truth_profile
+from dpbeta import model
+from dpbeta.experiments import ExperimentSpec, run_experiment, truth_profile
 from dpbeta.model import (
     WeightedGraph,
     _shifted_exponentials,
@@ -152,6 +154,88 @@ class TestSampleGraph:
         alpha = truth_profile(60, math.sqrt(math.log(60)))
         w = dense(sample_graph(alpha, q, seed=2002))
         assert hashlib.sha256(w.astype("<i8").tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "n, q, digest",
+        [
+            (2, 2, "db7f8e2aa97f8d23"),
+            (2, 3, "e84f1be4268b18b9"),
+            (3, 2, "d013045e8789b95a"),
+            (3, 3, "e2db79364667a8c7"),
+            # 79,800 pairs: the thresholds are built in more than one block
+            (400, 2, "819a9370ce0db3cc"),
+            (400, 3, "b893f98d4f4cb6e6"),
+        ],
+    )
+    def test_draws_are_pinned_at_other_sizes(self, n, q, digest):
+        alpha = truth_profile(n, math.sqrt(math.log(n)))
+        w = dense(sample_graph(alpha, q, seed=2002))
+        assert hashlib.sha256(w.astype("<i8").tobytes()).hexdigest()[:16] == digest
+
+    def test_single_node_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            sample_graph([0.3], 3, seed=1)
+
+
+def cold_sample(alpha, q, seed):
+    """sample_graph on an empty threshold cache."""
+    model._threshold_cache.clear()
+    return sample_graph(alpha, q, seed)
+
+
+def same_graph(g, h):
+    return (g.n, g.q) == (h.n, h.q) and all(
+        np.array_equal(getattr(g, name), getattr(h, name)) for name in "ijw"
+    )
+
+
+class TestThresholdCache:
+    def test_alpha_mutated_in_place_is_resampled(self):
+        alpha = np.linspace(-1.0, 1.0, 40)
+        sample_graph(alpha, 3, seed=7)
+        alpha[::2] += 0.8
+        g = sample_graph(alpha, 3, seed=7)
+        assert same_graph(g, cold_sample(alpha.copy(), 3, seed=7))
+
+    def test_interleaved_profiles_match_cold_calls(self):
+        alpha_a = np.linspace(-1.0, 1.0, 50)
+        alpha_b = np.linspace(-0.3, 1.5, 50)
+        calls = [(alpha_a, 3), (alpha_b, 3), (alpha_a, 2), (alpha_a, 3), (alpha_a, 3)]
+        model._threshold_cache.clear()
+        warm = [sample_graph(alpha, q, seed=11) for alpha, q in calls]
+        for g, (alpha, q) in zip(warm, calls):
+            assert same_graph(g, cold_sample(alpha, q, seed=11))
+
+    def test_cached_thresholds_are_read_only(self):
+        sample_graph(np.zeros(20), 3, seed=1)
+        (thresholds, starts), = model._threshold_cache.values()
+        assert not thresholds.flags.writeable and not starts.flags.writeable
+
+    def test_studies_do_not_depend_on_order(self):
+        # the study-n100 interleaving: settings A, B, A in one process
+        spec_a = ExperimentSpec(n=30, q=3, l_mode="zero", reps=20, master_seed=4)
+        spec_b = ExperimentSpec(n=30, q=3, l_mode="sqrtlog", reps=20, master_seed=4)
+        interleaved = [run_experiment(s) for s in (spec_a, spec_b, spec_a)]
+        alone = []
+        for spec in (spec_a, spec_b, spec_a):
+            model._threshold_cache.clear()
+            alone.append(run_experiment(spec))
+        assert interleaved == alone
+        assert interleaved[0] != interleaved[1]
+
+    def test_warm_call_memory(self):
+        # one n=1000, q=3 draw at a cached truth holds the uniforms, the
+        # counts and the edge arrays, not the pair sums or the cdf
+        alpha = truth_profile(1000, math.sqrt(math.log(1000)))
+        sample_graph(alpha, 3, seed=1)
+        tracemalloc.start()
+        try:
+            g = sample_graph(alpha, 3, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.w.size > 0
+        assert peak < 28 * 2**20
 
 
 class TestExpectedDegrees:
