@@ -203,6 +203,16 @@ def _resolve(args, config: dict, name: str, default):
     return value
 
 
+def _whole(value, name: str) -> int:
+    """A count from a flag or a config file as an int; a bool, a string or a
+    non-integral number is a usage error rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise UsageError(f"{name} must be an integer, got {value!r}.")
+    return int(value)
+
+
 def _resolve_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -246,11 +256,11 @@ def _experiment_spec(args, pairs_override=None) -> ExperimentSpec:
             pairs = tuple((int(i), int(j)) for i, j in pairs)
     try:
         return ExperimentSpec(
-            n=int(n),
-            q=int(q),
+            n=_whole(n, "n"),
+            q=_whole(q, "q"),
             l_mode=str(_resolve(args, config, "L", "zero")),
             eps_mode=str(_resolve(args, config, "eps", "fixed:2")),
-            reps=int(_resolve(args, config, "reps", 10_000)),
+            reps=_whole(_resolve(args, config, "reps", 10_000), "reps"),
             level=float(_resolve(args, config, "level", 0.95)),
             pairs=pairs,
             master_seed=_resolve_seed(args, config),
@@ -480,15 +490,19 @@ def _cmd_rate(args) -> int:
         n_list = [int(v) for v in n_list.split(",")]
     if not n_list:
         raise UsageError("--n-list is required.")
+    if not isinstance(n_list, list):
+        raise UsageError(f"n_list must be a list of sizes, got {n_list!r}.")
+    n_list = [_whole(v, "n_list entry") for v in n_list]
     q = _resolve(args, config, "q", None)
     if q is None:
         raise UsageError("--q is required.")
+    q = _whole(q, "q")
     seed = _resolve_seed(args, config)
     l_mode = str(_resolve(args, config, "L", "zero"))
     eps_mode = str(_resolve(args, config, "eps", "fixed:2"))
-    reps = int(_resolve(args, config, "reps", 300))
+    reps = _whole(_resolve(args, config, "reps", 300), "reps")
     rows = rate_study(
-        n_list, int(q), l_mode=l_mode, eps_mode=eps_mode, reps=reps, master_seed=seed
+        n_list, q, l_mode=l_mode, eps_mode=eps_mode, reps=reps, master_seed=seed
     )
     out = Path(args.out)
     lines = ["n,median_inf_error,converged,reps"] + [
@@ -499,7 +513,7 @@ def _cmd_rate(args) -> int:
         "rate",
         {
             "n_list": list(n_list),
-            "q": int(q),
+            "q": q,
             "L": l_mode,
             "eps": eps_mode,
             "reps": reps,

@@ -9,9 +9,14 @@ convex function, so they have at most one root, and nodes with equal noisy
 degree get equal estimates.  The solver therefore works on the K distinct
 noisy degrees, one parameter per class of tied nodes: each step is one
 K-by-K linear solve (LU, through ``numpy.linalg.solve``), whatever n is.
+The inputs are checked once per solve.  Each point the iteration evaluates
+costs one pass of the model's moment kernel over the class pairs, which
+gives the residual and the edge-weight variances that build the next
+step's matrix.  For q = 2 and 3 the iteration starts from a closed-form
+one-class root per class; for larger q it starts from zero.
 Per-node precision comes from the plug-in diagonal of the Jacobian at the
-solution, which backs normal-approximation confidence intervals for single
-parameters and for contrasts.
+solution, the variances of the last pass, which backs normal-approximation
+confidence intervals for single parameters and for contrasts.
 
 An estimate can fail to exist: either some noisy degree falls outside the
 open attainable range (detected before iterating) or the iteration fails to
@@ -31,8 +36,11 @@ import numpy as np
 from .model import (
     _as_alpha,
     _check_q,
+    _class_jacobian,
+    _classes,
+    _moments,
+    _node_sums,
     degree_jacobian,
-    degree_variances,
     expected_degrees,
 )
 
@@ -44,6 +52,8 @@ STATUS_DIVERGED = "nonexistent_diverged"
 # from overshooting into regions where the Jacobian degenerates.
 _STEP_CAP = 5.0
 _MIN_STEP = 2.0**-40
+# Largest n ``inverse_approximation`` inverts densely.
+_DENSE_INVERSE_CAP = 2000
 
 
 def residual(alpha, d_bar, q: int) -> np.ndarray:
@@ -121,14 +131,20 @@ def solve(
 
     Notes
     -----
-    The iteration starts from zero.  Each step solves V(alpha) delta =
-    F(alpha) and applies alpha <- alpha + step * delta, halving step while
-    the residual sup norm does not decrease.  The nodes are grouped once
-    into the K distinct values d_a of d_bar, with counts c_a, and every
-    iterate is constant on each class: with P the n-by-K class-indicator
-    matrix, the step for the class parameters beta solves the K-by-K
-    system (P^T V P) delta = C f, C = diag(c), by one LU solve, and gives
-    the same iterates as the n-by-n system.
+    The nodes are grouped once into the K distinct values d_a of d_bar,
+    with counts c_a, and every iterate is constant on each class: with P
+    the n-by-K class-indicator matrix, the step for the class parameters
+    beta solves the K-by-K system (P^T V P) delta = C f, C = diag(c), by one
+    LU solve, and gives the same iterates as the n-by-n system.  Each step
+    applies beta <- beta + step * delta, halving step while the residual
+    sup norm does not decrease.  The inputs are checked and the classes
+    laid out once per call; each point evaluated then costs one kernel
+    pass, which gives both E(d), hence f, and the pair variances, hence
+    the next step's matrix and, at the root, ``v_hat_diag``.
+
+    For q = 2 and 3 the iteration starts from the one-class roots
+    (``_one_class_roots``), the solution if every node shared its class's
+    noisy degree; for larger q it starts from zero.
     Noisy degrees outside the open interval (0, (n-1)(q-1)) make the
     equations unsolvable, which is reported without iterating.
     """
@@ -157,16 +173,17 @@ def solve(
     d_class, node_class, counts = np.unique(
         d_bar, return_inverse=True, return_counts=True
     )
-    counts = counts.astype(float)
-    beta = np.zeros(d_class.shape[0])
+    cls = _classes(d_class.shape[0], counts)
+    beta = _one_class_roots(d_class, n, q)
 
-    f = d_class - expected_degrees(beta, q, counts)
+    mean, var = _moments(beta, q, cls)
+    f = d_class - _node_sums(cls, mean)
     fnorm = float(np.max(np.abs(f)))
     iterations = 0
 
     while fnorm > tol and iterations < max_iter:
         try:
-            delta = np.linalg.solve(degree_jacobian(beta, q, counts), counts * f)
+            delta = np.linalg.solve(_class_jacobian(cls, var), cls.c * f)
         except np.linalg.LinAlgError:
             return _diverged(n, q, tol, iterations, fnorm)
         if not np.all(np.isfinite(delta)):
@@ -179,10 +196,11 @@ def solve(
         accepted = False
         while step >= _MIN_STEP:
             cand = beta + step * delta
-            fc = d_class - expected_degrees(cand, q, counts)
+            mean, var_c = _moments(cand, q, cls)
+            fc = d_class - _node_sums(cls, mean)
             cnorm = float(np.max(np.abs(fc)))
             if cnorm < fnorm:
-                beta, f, fnorm = cand, fc, cnorm
+                beta, f, fnorm, var = cand, fc, cnorm, var_c
                 accepted = True
                 break
             step *= 0.5
@@ -201,8 +219,31 @@ def solve(
         iterations=iterations,
         alpha_hat=beta[node_class],
         residual_inf=fnorm,
-        v_hat_diag=degree_variances(beta, q, counts)[node_class],
+        v_hat_diag=_node_sums(cls, var)[node_class],
     )
+
+
+def _one_class_roots(d: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Per class a, the root beta_a of (n-1) E(a | 2 beta_a) = d_a: the
+    estimate if all n nodes had noisy degree d_a (Chatterjee, Diaconis & Sly
+    2011 start their fixed-point iteration from the same idea).
+
+    With x = exp(2 beta) and m = d/(n-1) the equation is
+    sum_k (k - m) x^k = 0, whose positive root for q <= 3 is
+    x = 2m / ((1-m) + sqrt((1-m)^2 + 4(q-2)(2-m)m)), a form with no
+    cancellation.  Above the midpoint m > (q-1)/2 the symmetry
+    E(a | -s) = (q-1) - E(a | s) maps the root to that of (q-1) - m, so
+    nothing cancels near the upper end either.  For q >= 4 this returns
+    zeros.
+    """
+    if q > 3:
+        return np.zeros(d.shape[0])
+    dmax = (n - 1) * (q - 1)
+    upper = 2.0 * d > dmax
+    m = np.where(upper, dmax - d, d) / (n - 1)
+    root = np.sqrt((1.0 - m) ** 2 + 4.0 * (q - 2) * (2.0 - m) * m)
+    x = 2.0 * m / ((1.0 - m) + root)
+    return np.where(upper, -0.5, 0.5) * np.log(x)
 
 
 def _diverged(n, q, tol, iterations, fnorm) -> FitResult:
@@ -310,17 +351,20 @@ class InverseApproxReport:
     inv_inf_norm: float
 
 
-def inverse_approximation(alpha, q: int, max_n: int = 2000) -> InverseApproxReport:
+def inverse_approximation(alpha, q: int) -> InverseApproxReport:
     """Compare the exact inverse Jacobian with the diagonal approximation.
 
     Computes V^{-1} by dense inversion and S with S_ij = delta_ij / v_ii,
     returning the largest absolute entry of V^{-1} - S, the S diagonal, and
     the sup-norm (max absolute row sum) of V^{-1}.  Dense inversion caps the
-    usable size; intended as a diagnostic at moderate n.
+    usable size at ``_DENSE_INVERSE_CAP`` nodes; intended as a diagnostic at
+    moderate n.
     """
     a = _as_alpha(alpha)
-    if a.shape[0] > max_n:
-        raise ValueError(f"n={a.shape[0]} too large for dense inversion cap {max_n}.")
+    if a.shape[0] > _DENSE_INVERSE_CAP:
+        raise ValueError(
+            f"n={a.shape[0]} too large for dense inversion cap {_DENSE_INVERSE_CAP}."
+        )
     v = degree_jacobian(a, q)
     try:
         v_inv = np.linalg.inv(v)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimator import FitResult, contrast_ci, normal_quantile, solve
 from .mechanisms import calibrate, sample_noise
-from .model import sample_graph
+from .model import _check_q, sample_graph
 
 L_MODES = ("zero", "loglog", "sqrtlog")
 EPS_MODES = ("fixed:<value>", "logn_over_n14", "logn_over_n12")
@@ -91,6 +91,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("n must be >= 3.")
+        self.q = _check_q(self.q)
         if self.reps < 1:
             raise ValueError("reps must be >= 1.")
         if not (0.0 < self.level < 1.0):

@@ -31,16 +31,22 @@ up to n ~ 2900).  They are built in blocks of 2**16 pairs to bound the
 temporaries.  A cached call draws the same uniforms as an uncached one, so
 no graph depends on the cache.
 
-Nodes with equal parameters have equal moments, so the degree map, its
-variances and its Jacobian also take class multiplicities: one parameter
-per class of tied nodes and the number of nodes in it.  Their cost is then
-quadratic in the number of classes rather than in n.
+Nodes with equal parameters have equal moments, so the degree map and its
+Jacobian also take class multiplicities: one parameter per class of tied
+nodes and the number of nodes in it.  Their cost is then quadratic in the
+number of classes rather than in n.  Both come from one private core: the
+classes are checked and laid out once (``_classes``), and one kernel pass
+(``_moments``) gives the mean and the variance of every class pair, so a
+solver that checks its inputs once can evaluate E(d) and the Jacobian at a
+point for the price of one pass.  ``expected_degrees`` and
+``degree_jacobian`` are the checking public wrappers over that core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +61,16 @@ def _as_alpha(alpha) -> np.ndarray:
     return arr
 
 
-def _check_q(q: int) -> int:
-    q = int(q)
-    if q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q}.")
-    return q
+def _check_q(q) -> int:
+    """q as an int >= 2.  A bool or a non-integral value such as 2.5 is
+    rejected rather than truncated."""
+    try:
+        ok = not isinstance(q, (bool, np.bool_)) and q == int(q) and q >= 2
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"q must be an integer >= 2, got {q!r}.")
+    return int(q)
 
 
 @dataclass
@@ -134,9 +145,10 @@ def _shifted_exponentials(s, q: int):
 
 @lru_cache(maxsize=1)
 def _upper_pairs(k: int):
-    """The pairs i < j of k entries in row-major order, read-only.  Every
-    moment pass of one solve asks for the same k, so the last answer is
-    kept."""
+    """The pairs i < j of k entries in row-major order, read-only.  A solve
+    lays its classes out once (``_classes``); the public moment functions
+    ask again on every call, as a finite-difference loop does with one k,
+    so the last answer is kept."""
     pairs = np.triu_indices(k, 1)
     for arr in pairs:
         arr.flags.writeable = False
@@ -224,52 +236,77 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     return WeightedGraph(a.shape[0], q, *_pair_nodes(flat, starts), w[flat])
 
 
-def _weight_moment(s, q: int, centred: bool) -> np.ndarray:
-    """Mean edge weight at pair sums s or, if centred, its variance.
+class _Classes(NamedTuple):
+    """The validated layout of k classes of tied nodes: the multiplicities
+    c, the class pairs a < b (row-major) and their flat indices a*k + b in
+    a k-by-k matrix, the partner weights c[iu] and c[ju] of those pairs,
+    and c - 1, the weight of a class's own pair."""
 
-    The variance is taken about the mean, sum_k (k - m)^2 t_k / den, rather
-    than as E(a^2) - m^2, so saturated pair sums keep their tiny positive
-    variance instead of cancelling to zero.
-    """
-    t, den = _shifted_exponentials(s, q)
-    mean = np.arange(q, dtype=float) @ t / den
-    if not centred:
-        return mean
-    for k in range(q):
-        t[k] *= (k - mean) ** 2
-    return t.sum(axis=0) / den
+    k: int
+    c: np.ndarray
+    iu: np.ndarray
+    ju: np.ndarray
+    flat: np.ndarray
+    c_iu: np.ndarray
+    c_ju: np.ndarray
+    c_own: np.ndarray
 
 
-def _class_moments(alpha, q: int, counts, centred: bool):
-    """Edge-weight moments between and within classes of tied nodes.
-
-    Entry a of alpha is the parameter beta_a shared by the counts[a] nodes
-    of class a (one node per entry when counts is None).  Returns (k, c,
-    iu, ju, pair, same): the moment at the class pair sums beta_a + beta_b
-    for a < b, and at 2 beta_a, the sum for two nodes of one class.
-    """
-    a = _as_alpha(alpha)
-    k, q = a.shape[0], _check_q(q)
-    iu, ju = _upper_pairs(k)
-    s = a[iu] + a[ju]
+def _classes(k: int, counts=None) -> _Classes:
+    """Check counts (one multiplicity >= 1 per class, or None for one node
+    per class) and lay out the class pairs once for every moment pass."""
     if counts is None:
         c = np.ones(k)
     else:
         c = np.asarray(counts, dtype=float)
         if c.shape != (k,) or not np.all(c >= 1):
             raise ValueError("counts must hold one multiplicity >= 1 per entry.")
-    x = _weight_moment(np.concatenate((s, 2.0 * a)), q, centred)
-    return k, c, iu, ju, x[:-k], x[-k:]
+    iu, ju = _upper_pairs(k)
+    return _Classes(k, c, iu, ju, iu * k + ju, c[iu], c[ju], c - 1.0)
 
 
-def _node_sums(k, c, iu, ju, pair, same) -> np.ndarray:
-    """Per class a, the sum over one node's partners,
-    sum_{b != a} c_b x_ab + (c_a - 1) x_aa."""
+def _moments(beta: np.ndarray, q: int, cls: _Classes):
+    """Mean and variance of the edge weight between and within classes,
+    from one kernel pass, without checking the inputs.
+
+    Both are arrays over the class pair sums beta_a + beta_b (a < b, in the
+    order of cls) followed by 2 beta_a, the sum for two nodes of class a.
+    The variance is taken about the mean, sum_k (k - m)^2 t_k / den, rather
+    than as E(a^2) - m^2, so saturated pair sums keep their tiny positive
+    variance instead of cancelling to zero.
+    """
+    s = np.concatenate((beta[cls.iu] + beta[cls.ju], 2.0 * beta))
+    t, den = _shifted_exponentials(s, q)
+    mean = np.arange(q, dtype=float) @ t / den
+    for k in range(q):
+        t[k] *= (k - mean) ** 2
+    return mean, t.sum(axis=0) / den
+
+
+def _node_sums(cls: _Classes, x: np.ndarray) -> np.ndarray:
+    """Per class a, the sum over one node's partners of a pair moment x
+    from ``_moments``: sum_{b != a} c_b x_ab + (c_a - 1) x_aa."""
+    pair, own = x[: -cls.k], x[-cls.k :]
     return (
-        np.bincount(iu, c[ju] * pair, k)
-        + np.bincount(ju, c[iu] * pair, k)
-        + (c - 1.0) * same
+        np.bincount(cls.iu, cls.c_ju * pair, cls.k)
+        + np.bincount(cls.ju, cls.c_iu * pair, cls.k)
+        + cls.c_own * own
     )
+
+
+def _class_jacobian(cls: _Classes, var: np.ndarray) -> np.ndarray:
+    """The k-by-k matrix P^T V P of ``degree_jacobian`` from the pair
+    variances var of ``_moments``."""
+    k, c = cls.k, cls.c
+    pair, own = var[:-k], var[-k:]
+    v = np.zeros((k, k))
+    v.ravel()[cls.flat] = pair
+    v = v + v.T  # x + 0 is exact: the symmetric matrix of the pair variances
+    v *= c
+    v_ii = v.sum(axis=1) + cls.c_own * own
+    v *= c[:, None]
+    np.fill_diagonal(v, c * (v_ii + cls.c_own * own))
+    return v
 
 
 def expected_degrees(alpha, q: int, counts=None) -> np.ndarray:
@@ -279,14 +316,9 @@ def expected_degrees(alpha, q: int, counts=None) -> np.ndarray:
     With counts, entry a of alpha stands for counts[a] nodes that share it,
     and entry a of the result is the expected degree of each of them.
     """
-    return _node_sums(*_class_moments(alpha, q, counts, centred=False))
-
-
-def degree_variances(alpha, q: int, counts=None) -> np.ndarray:
-    """Var(d_i) = sum_{j != i} Var(a_ij): the diagonal of the node-level
-    ``degree_jacobian``, per class when counts is given, without building
-    any matrix."""
-    return _node_sums(*_class_moments(alpha, q, counts, centred=True))
+    a, q = _as_alpha(alpha), _check_q(q)
+    cls = _classes(a.shape[0], counts)
+    return _node_sums(cls, _moments(a, q, cls)[0])
 
 
 def degree_jacobian(alpha, q: int, counts=None) -> np.ndarray:
@@ -302,12 +334,6 @@ def degree_jacobian(alpha, q: int, counts=None) -> np.ndarray:
     and c_a v_ii + c_a (c_a - 1) v_aa on it.  With one node per entry it
     is V itself.
     """
-    k, c, iu, ju, var, same = _class_moments(alpha, q, counts, centred=True)
-    v = np.zeros((k, k))
-    v[iu, ju] = var
-    v[ju, iu] = var
-    v *= c
-    v_ii = v.sum(axis=1) + (c - 1.0) * same
-    v *= c[:, None]
-    np.fill_diagonal(v, c * (v_ii + (c - 1.0) * same))
-    return v
+    a, q = _as_alpha(alpha), _check_q(q)
+    cls = _classes(a.shape[0], counts)
+    return _class_jacobian(cls, _moments(a, q, cls)[1])

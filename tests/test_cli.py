@@ -561,6 +561,29 @@ class TestExitCodes:
         assert fragment in capsys.readouterr().err
         assert not fitp.exists()
 
+    @pytest.mark.parametrize(
+        "command, config, name",
+        [
+            ("simulate", {"n": 20, "q": 2.5}, "q"),
+            ("simulate", {"n": 20.5, "q": 3}, "n"),
+            ("simulate", {"n": 20, "q": 3, "reps": 4.5}, "reps"),
+            ("simulate", {"n": 20, "q": True}, "q"),
+            ("rate", {"n_list": [20, 30], "q": 2.5}, "q"),
+            ("rate", {"n_list": [20, 30.5], "q": 3}, "n_list entry"),
+            ("rate", {"n_list": [20, 30], "q": 3, "reps": 2.5}, "reps"),
+        ],
+    )
+    def test_non_integral_config_count_is_usage_error(
+        self, tmp_path, capsys, command, config, name
+    ):
+        # rejected, not truncated: a config q of 2.5 must not run q=2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tolerance_is_rejected(self, tmp_path, tol):
         with pytest.raises(ValueError, match="tol"):

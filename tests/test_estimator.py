@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from dpbeta import estimator, model
 from dpbeta.estimator import (
     contrast_ci,
     inverse_approximation,
@@ -188,8 +189,63 @@ class TestDegreeClasses:
         var = (n - 1) * float((k - k @ p) ** 2 @ p)
         fit = solve(np.full(n, d), q)
         assert fit.converged
+        # for q <= 3 the start is this root, so no step is needed
+        assert fit.iterations == 0
         np.testing.assert_allclose(fit.alpha_hat, beta, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fit.v_hat_diag, var, rtol=1e-12)
+
+    @pytest.mark.parametrize("nodes, value", [([0, 50], 0.5), ([10, 99], 197.5)])
+    def test_near_boundary_degrees_match_bisection(self, nodes, value):
+        # n = 100, q = 3: noisy degrees half a unit inside (0, (n-1)(q-1)),
+        # among interior ones; the one-class start of such a class lies far
+        # out (|beta| ~ 5), and the iteration must still find the root
+        n, q = 100, 3
+        d_bar = expected_degrees(truth_profile(n, 1.0) - 0.5, q)
+        d_bar[nodes] = value
+        fit = solve(d_bar, q)
+        assert fit.converged
+        oracle = oracles.gauss_seidel_bisect(d_bar, q)
+        assert oracle is not None
+        assert np.max(np.abs(fit.alpha_hat - oracle)) < 1e-8
+
+    def test_zero_start_converges_for_larger_q(self):
+        # q >= 4 has no closed-form start; the iteration starts from zero
+        q = 5
+        d_bar = sample_graph(np.linspace(-0.6, 0.6, 9), q, seed=12).degrees()
+        fit = solve(d_bar, q)
+        assert fit.converged and fit.iterations > 1
+        oracle = oracles.gauss_seidel_bisect(d_bar, q)
+        assert oracle is not None
+        assert np.max(np.abs(fit.alpha_hat - oracle)) < 1e-8
+
+    def test_one_kernel_pass_per_point(self, monkeypatch):
+        # each point the solver evaluates, the start and one per accepted
+        # step here (no backtracks), gives E(d), the next step's matrix and
+        # v_hat_diag from a single call of the kernel
+        calls = []
+        kernel = model._shifted_exponentials
+
+        def counted(s, q):
+            calls.append(1)
+            return kernel(s, q)
+
+        d_bar = sample_graph(truth_profile(40, 1.9), 3, seed=3).degrees()
+        monkeypatch.setattr(model, "_shifted_exponentials", counted)
+        fit = solve(d_bar, 3)
+        assert fit.converged and fit.iterations > 1
+        assert len(calls) == fit.iterations + 1
+
+    def test_v_hat_diag_is_jacobian_diagonal(self):
+        # the class-level variances equal the node-level Jacobian diagonal
+        d_bar = np.array([3.0, 5.0, 5.0, 2.5, 7.0, 5.0, 3.0])
+        fit = solve(d_bar, 3)
+        assert fit.converged
+        np.testing.assert_allclose(
+            fit.v_hat_diag,
+            np.diagonal(degree_jacobian(fit.alpha_hat, 3)),
+            rtol=1e-12,
+            atol=0,
+        )
 
     @settings(max_examples=40)
     @given(st.one_of(tied_integer_degrees(), distinct_float_degrees()))
@@ -318,6 +374,8 @@ class TestInverseApproximation:
         # bound c (1 + e^0)^3 / (n-1) with a small constant
         assert rep.inv_inf_norm <= 3.0 * 8.0 / (n - 1)
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            inverse_approximation(np.zeros(10), 2, max_n=5)
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_DENSE_INVERSE_CAP", 5)
+        with pytest.raises(ValueError, match="cap 5"):
+            inverse_approximation(np.zeros(10), 2)
+        assert inverse_approximation(np.zeros(5), 2).s_diag.shape == (5,)

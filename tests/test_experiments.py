@@ -78,6 +78,15 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="n must be >= 3"):
                 ExperimentSpec(n=n, q=2)
 
+    @pytest.mark.parametrize("q", [2.5, True, 1, "3"])
+    def test_rejects_non_integral_q(self, q):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            ExperimentSpec(n=10, q=q)
+
+    def test_integral_float_q_is_stored_as_int(self):
+        spec = ExperimentSpec(n=10, q=3.0)
+        assert spec.q == 3 and isinstance(spec.q, int)
+
 
 class TestRunExperiment:
     def test_deterministic(self):

@@ -7,12 +7,12 @@ import pytest
 from scipy import stats
 
 from dpbeta import model
+from dpbeta.estimator import solve
 from dpbeta.experiments import ExperimentSpec, run_experiment, truth_profile
 from dpbeta.model import (
     WeightedGraph,
     _shifted_exponentials,
     degree_jacobian,
-    degree_variances,
     expected_degrees,
     sample_graph,
 )
@@ -96,7 +96,7 @@ class TestMeanWeight:
             # pair sums far past exp's range: mean and variance stay finite
             for s in (-800.0, 800.0):
                 assert 0.0 <= mean_weight(s, q) <= q - 1
-                var = degree_variances([s / 2, s / 2], q)[0]
+                var = degree_jacobian([s / 2, s / 2], q)[0, 0]
                 assert np.isfinite(var) and var >= 0.0
 
 
@@ -366,17 +366,30 @@ class TestDegreeClasses:
                 rtol=1e-12,
                 atol=0,
             )
-            np.testing.assert_allclose(
-                degree_variances(beta, q, counts),
-                np.diagonal(v)[first],
-                rtol=1e-12,
-                atol=0,
-            )
 
     @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 2, math.nan]])
     def test_rejects_bad_counts(self, counts):
         with pytest.raises(ValueError):
             expected_degrees(np.zeros(3), 2, counts)
+
+
+class TestCheckQ:
+    """q is a whole number >= 2; nothing truncates a fractional q."""
+
+    @pytest.mark.parametrize("q", [2.9, 3.7, True, np.bool_(True), 1, math.nan, "3"])
+    def test_rejects_non_integral_q(self, q):
+        with pytest.raises(ValueError, match="q must be an integer") as info:
+            sample_graph(np.zeros(4), q, seed=0)
+        assert repr(q) in str(info.value)
+        with pytest.raises(ValueError, match="q must be an integer"):
+            expected_degrees(np.zeros(3), q)
+        with pytest.raises(ValueError, match="q must be an integer"):
+            solve([1.0, 1.5, 1.2], q)
+
+    @pytest.mark.parametrize("q", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_accepts_integral_q(self, q):
+        assert sample_graph(np.zeros(4), q, seed=0).q == 3
+        assert solve([1.0, 1.5, 1.2], q).q == 3
 
 
 class TestWeightedGraphValidation:
