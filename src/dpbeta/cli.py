@@ -1,9 +1,10 @@
 """Command-line surface: generate, release, fit, pipeline, simulate, qq, rate, dpcheck.
 
 Every command that writes files also writes a ``<output>.manifest.json``
-with the resolved parameters, seeds, input digest and output paths, enough
-to reproduce the outputs byte for byte.  Node ids are 1-based on the
-command line and in all output tables.
+with its parameters, input digest and output paths, enough to reproduce the
+outputs byte for byte.  The parameters are the parsed flags, with the values
+the command resolved itself (seed, config values, a release's q) filled in.
+Node ids are 1-based on the command line and in all output tables.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 the estimate does
 not exist.
@@ -30,7 +31,7 @@ from .edgelist import (
     prune_isolated,
     write_edge_list,
 )
-from .estimator import FitResult, node_intervals, solve
+from .estimator import FitResult, _z, node_intervals, solve
 from .experiments import (
     QQ_MIN_VALUES,
     ExperimentSpec,
@@ -72,6 +73,15 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _params(args, **resolved) -> dict:
+    """A command's manifest parameters: its parsed flags, updated with the
+    values it resolved itself."""
+    params = vars(args).copy()
+    for name in ("command", "func", "config"):
+        params.pop(name, None)
+    return params | resolved
 
 
 def write_manifest(
@@ -125,6 +135,7 @@ def pipeline_fit(
     prune: bool = True,
 ) -> PipelineOutput:
     """Run the full private-estimation workflow on an edge-list file."""
+    _z(level)  # a bad level fails before the work, not after the fit
     graph = parse_edge_list(path, q)
     if prune:
         pruned = prune_isolated(graph)
@@ -195,14 +206,6 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _resolve(args, config: dict, name: str, default):
-    """Flag value, else config value, else default."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    return value
-
-
 def _whole(value, name: str) -> int:
     """A count from a flag or a config file as an int; a bool, a string or a
     non-integral number is a usage error rather than truncated."""
@@ -213,60 +216,56 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
+def _seed(args) -> int:
+    """--seed (or a config seed), else $DPBETA_SEED, else 0."""
+    if args.seed is not None:
         return args.seed
-    if "seed" in config:
-        return int(config["seed"])
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer.") from None
+
+
+def _study_args(args, **defaults) -> None:
+    """Fill each study flag left unset from the --config file, then from
+    its default, in place; a null config value counts as unset.  Check the
+    counts and resolve the seed."""
+    config = {}
+    if args.config is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer.") from None
-    return 0
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise EdgeListError(f"config file {args.config}: {exc}") from None
+        if not isinstance(config, dict):
+            raise EdgeListError(f"config file {args.config} must hold a JSON object.")
+    defaults = {"q": None, "L": "zero", "eps": "fixed:2", "seed": None} | defaults
+    for name, default in defaults.items():
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name)
+        setattr(args, name, default if value is None else value)
+    for name in ("n", "q", "reps", "seed"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _whole(getattr(args, name), name))
+    args.L, args.eps, args.seed = str(args.L), str(args.eps), _seed(args)
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EdgeListError(f"config file {path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise EdgeListError(f"config file {path} must hold a JSON object.")
-    return config
-
-
-def _experiment_spec(args, pairs_override=None) -> ExperimentSpec:
-    config = _load_config(args)
-    n = _resolve(args, config, "n", None)
-    q = _resolve(args, config, "q", None)
-    if n is None or q is None:
+def _experiment_spec(args, pairs) -> ExperimentSpec:
+    if args.n is None or args.q is None:
         raise UsageError("--n and --q are required (flag or config).")
-    if pairs_override is not None:
-        pairs = pairs_override
-    else:
-        pairs = _resolve(args, config, "pairs", None)
-        if isinstance(pairs, str):
-            pairs = _parse_pairs(pairs)
-        elif isinstance(pairs, list):
-            pairs = tuple((int(i), int(j)) for i, j in pairs)
-    try:
-        return ExperimentSpec(
-            n=_whole(n, "n"),
-            q=_whole(q, "q"),
-            l_mode=str(_resolve(args, config, "L", "zero")),
-            eps_mode=str(_resolve(args, config, "eps", "fixed:2")),
-            reps=_whole(_resolve(args, config, "reps", 10_000), "reps"),
-            level=float(_resolve(args, config, "level", 0.95)),
-            pairs=pairs,
-            master_seed=_resolve_seed(args, config),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return ExperimentSpec(
+        n=args.n,
+        q=args.q,
+        l_mode=args.L,
+        eps_mode=args.eps,
+        reps=args.reps,
+        level=float(args.level),
+        pairs=pairs,
+        master_seed=args.seed,
+    )
 
 
 def _note(message: str) -> None:
@@ -301,7 +300,7 @@ def _check_theory_floor(epsilon: float, n: int) -> None:
 
 
 def _cmd_generate(args) -> int:
-    seed = _resolve_seed(args, {})
+    args.seed = _seed(args)
     if args.alpha is not None:
         if args.L is not None:
             raise UsageError("--alpha and --L are mutually exclusive.")
@@ -313,48 +312,23 @@ def _cmd_generate(args) -> int:
             raise UsageError("--n is required unless --alpha is given.")
         scale = args.L if args.L is not None else 0.0
         alpha = truth_profile(args.n, scale)
-    graph = sample_graph(alpha, args.q, seed)
+    graph = sample_graph(alpha, args.q, args.seed)
     out = Path(args.out)
     write_edge_list(graph, out)
-    write_manifest(
-        "generate",
-        {
-            "n": graph.n,
-            "q": args.q,
-            "seed": seed,
-            "L": args.L,
-            "alpha": None if args.alpha is None else alpha.tolist(),
-            "out": str(out),
-        },
-        [out],
-    )
+    listed = None if args.alpha is None else alpha.tolist()
+    write_manifest("generate", _params(args, n=graph.n, alpha=listed), [out])
     return EXIT_OK
 
 
 def _cmd_release(args) -> int:
-    seed = _resolve_seed(args, {})
+    args.seed = _seed(args)
     graph = parse_edge_list(args.input, args.q, n=args.n)
     _check_theory_floor(args.eps, graph.n)
     mechanism = calibrate(args.eps, kind=args.kind, skew_ratio=args.skew_ratio)
-    release = release_degrees(graph.degrees(), mechanism, seed=seed, q=args.q)
+    release = release_degrees(graph.degrees(), mechanism, seed=args.seed, q=args.q)
     out = Path(args.out)
     out.write_text(release.to_json(debug=args.debug_noise) + "\n", encoding="utf-8")
-    write_manifest(
-        "release",
-        {
-            "input": str(args.input),
-            "q": args.q,
-            "eps": args.eps,
-            "kind": args.kind,
-            "skew_ratio": args.skew_ratio,
-            "seed": seed,
-            "debug_noise": args.debug_noise,
-            "n": args.n,
-            "out": str(out),
-        },
-        [out],
-        input_path=Path(args.input),
-    )
+    write_manifest("release", _params(args), [out], input_path=Path(args.input))
     return EXIT_OK
 
 
@@ -365,12 +339,11 @@ def _cmd_fit(args) -> int:
         raise EdgeListError(f"release file {args.input}: {exc}") from None
     if not isinstance(payload, dict) or "d_bar" not in payload:
         raise EdgeListError(f"release file {args.input} lacks a d_bar field.")
-    q = args.q
-    if q is None:
-        q = payload.get("q")
-        if q is None:
+    if args.q is None:
+        args.q = payload.get("q")
+        if args.q is None:
             raise EdgeListError("release file lacks q; pass --q.")
-        if isinstance(q, bool) or not isinstance(q, int) or q < 2:
+        if isinstance(args.q, bool) or not isinstance(args.q, int) or args.q < 2:
             raise DataError(f"release file {args.input}: q must be an integer >= 2.")
     d_bar = payload["d_bar"]
     if not isinstance(d_bar, list) or len(d_bar) < 2 or not all(
@@ -379,36 +352,29 @@ def _cmd_fit(args) -> int:
         raise DataError(
             f"release file {args.input}: d_bar must be a list of at least two numbers."
         )
-    d_bar = np.asarray(d_bar, dtype=float)
-    if not np.all(np.isfinite(d_bar)):
+    try:
+        d_bar = np.asarray(d_bar, dtype=float)
+        finite = np.all(np.isfinite(d_bar))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise DataError(f"release file {args.input}: d_bar holds non-finite values.")
-    fit = solve(d_bar, q, tol=args.tol, max_iter=args.max_iter)
+    fit = solve(d_bar, args.q, tol=args.tol, max_iter=args.max_iter)
     out = Path(args.out)
     out.write_text(fit.to_json() + "\n", encoding="utf-8")
-    write_manifest(
-        "fit",
-        {
-            "input": str(args.input),
-            "q": q,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "out": str(out),
-        },
-        [out],
-        input_path=Path(args.input),
-    )
+    write_manifest("fit", _params(args), [out], input_path=Path(args.input))
     return _fit_exit_code(fit, range(1, fit.n + 1))
 
 
 def _cmd_pipeline(args) -> int:
-    seed = _resolve_seed(args, {})
+    args.seed = _seed(args)
     out = pipeline_fit(
         args.input,
         args.q,
         args.eps,
-        seed=seed,
+        seed=args.seed,
         level=args.level,
-        prune=not args.no_prune,
+        prune=args.prune,
     )
     _check_theory_floor(args.eps, out.fit.n)
     if out.removed_count:
@@ -430,26 +396,14 @@ def _cmd_pipeline(args) -> int:
         scatter_path.write_text(_scatter_table(out), encoding="utf-8")
         outputs = [fit_path, scatter_path, release_path]
 
-    write_manifest(
-        "pipeline",
-        {
-            "input": str(args.input),
-            "q": args.q,
-            "eps": args.eps,
-            "seed": seed,
-            "level": args.level,
-            "prune": not args.no_prune,
-            "out_prefix": str(prefix),
-        },
-        outputs,
-        input_path=Path(args.input),
-    )
-
+    write_manifest("pipeline", _params(args), outputs, input_path=Path(args.input))
     return _fit_exit_code(out.fit, out.labels)
 
 
 def _cmd_simulate(args) -> int:
-    spec = _experiment_spec(args)
+    _study_args(args, n=None, reps=10_000, level=0.95, pairs=None)
+    pairs = _parse_pairs(args.pairs) if isinstance(args.pairs, str) else args.pairs
+    spec = _experiment_spec(args, pairs)
     result = run_experiment(spec)
     out = Path(args.out)
     lines = ["pair_i,pair_j,coverage,mean_len,nonexist,reps"] + result.csv_rows()
@@ -462,7 +416,8 @@ def _cmd_qq(args) -> int:
     pair = _parse_pairs(args.pair)
     if len(pair) != 1:
         raise UsageError("--pair takes exactly one i:j pair.")
-    spec = _experiment_spec(args, pairs_override=pair)
+    _study_args(args, n=None, reps=10_000, level=0.95)
+    spec = _experiment_spec(args, pair)
     result = run_experiment(spec)
     if result.converged < QQ_MIN_VALUES:
         _note(
@@ -484,44 +439,26 @@ def _cmd_qq(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    config = _load_config(args)
-    n_list = _resolve(args, config, "n_list", None)
+    _study_args(args, n_list=None, reps=300)
+    n_list = args.n_list
     if isinstance(n_list, str):
         n_list = [int(v) for v in n_list.split(",")]
     if not n_list:
         raise UsageError("--n-list is required.")
     if not isinstance(n_list, list):
         raise UsageError(f"n_list must be a list of sizes, got {n_list!r}.")
-    n_list = [_whole(v, "n_list entry") for v in n_list]
-    q = _resolve(args, config, "q", None)
-    if q is None:
+    args.n_list = [_whole(v, "n_list entry") for v in n_list]
+    if args.q is None:
         raise UsageError("--q is required.")
-    q = _whole(q, "q")
-    seed = _resolve_seed(args, config)
-    l_mode = str(_resolve(args, config, "L", "zero"))
-    eps_mode = str(_resolve(args, config, "eps", "fixed:2"))
-    reps = _whole(_resolve(args, config, "reps", 300), "reps")
     rows = rate_study(
-        n_list, q, l_mode=l_mode, eps_mode=eps_mode, reps=reps, master_seed=seed
+        args.n_list, args.q, args.L, args.eps, reps=args.reps, master_seed=args.seed
     )
     out = Path(args.out)
     lines = ["n,median_inf_error,converged,reps"] + [
         f"{r.n},{r.median_inf_error:.10g},{r.converged},{r.reps}" for r in rows
     ]
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(
-        "rate",
-        {
-            "n_list": list(n_list),
-            "q": q,
-            "L": l_mode,
-            "eps": eps_mode,
-            "reps": reps,
-            "seed": seed,
-            "out": str(out),
-        },
-        [out],
-    )
+    write_manifest("rate", _params(args), [out])
     return EXIT_OK
 
 
@@ -595,47 +532,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument(
         "--no-prune",
-        action="store_true",
+        dest="prune",
+        action="store_false",
         help="keep zero-degree vertices (the fit will not exist)",
     )
     p.add_argument("--out-prefix", required=True, dest="out_prefix")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("simulate", help="coverage/length/existence study")
+    # the flags every study shares; an unset one comes from --config
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--q", type=int)
+    study.add_argument("--L", choices=["zero", "loglog", "sqrtlog"])
+    study.add_argument("--eps", help="fixed:<v>, logn_over_n14 or logn_over_n12")
+    study.add_argument("--reps", type=int)
+    study.add_argument("--seed", type=int)
+    study.add_argument("--config", help="JSON file with defaults for these flags")
+    study.add_argument("--out", required=True)
+
+    p = sub.add_parser(
+        "simulate", parents=[study], help="coverage/length/existence study"
+    )
     p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--L", choices=["zero", "loglog", "sqrtlog"])
-    p.add_argument("--eps", help="fixed:<v>, logn_over_n14 or logn_over_n12")
-    p.add_argument("--reps", type=int)
     p.add_argument("--level", type=float)
     p.add_argument("--pairs", help="tracked pairs, e.g. 1:2,50:51")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with defaults for these flags")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("qq", help="normal QQ data for one tracked pair")
+    p = sub.add_parser(
+        "qq", parents=[study], help="normal QQ data for one tracked pair"
+    )
     p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--L", choices=["zero", "loglog", "sqrtlog"])
-    p.add_argument("--eps")
-    p.add_argument("--reps", type=int)
     p.add_argument("--level", type=float)
     p.add_argument("--pair", required=True, help="node pair i:j")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_qq)
 
-    p = sub.add_parser("rate", help="median sup-norm error across sizes")
+    p = sub.add_parser(
+        "rate", parents=[study], help="median sup-norm error across sizes"
+    )
     p.add_argument("--n-list", dest="n_list", help="comma-separated sizes")
-    p.add_argument("--q", type=int)
-    p.add_argument("--L", choices=["zero", "loglog", "sqrtlog"])
-    p.add_argument("--eps")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("dpcheck", help="verify the privacy bound numerically")

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import WeightedGraph
+from .model import WeightedGraph, _check_q
 
 _ID_MAX = math.isqrt(np.iinfo(np.int64).max)  # 3037000499
 _DIGITS = 18  # longer fields are out of range: above any id and any weight < q
@@ -181,6 +181,8 @@ def parse_edge_list(
 
     Raises
     ------
+    ValueError
+        On a q that is not an integer in 2..10**18.
     EdgeListError
         On text that is not UTF-8, lines without exactly three integer
         fields, ids below 1 or above 3037000499, self-loops, weights outside
@@ -188,10 +190,9 @@ def parse_edge_list(
         first faulty line; each line's checks apply in that order.  Then,
         without a line number, on an id above n or an empty file without n.
     """
-    if q < 2:
-        raise EdgeListError(f"q must be >= 2, got {q}.")
+    q = _check_q(q)
     if q > 10**_DIGITS:
-        raise EdgeListError(f"q must be at most 10**{_DIGITS}, got {q}.")
+        raise ValueError(f"q must be at most 10**{_DIGITS}, got {q}.")
     if n is not None and n > _ID_MAX:
         raise EdgeListError(
             f"n={n} exceeds the largest supported node count {_ID_MAX}."

@@ -173,7 +173,7 @@ def solve(
     d_class, node_class, counts = np.unique(
         d_bar, return_inverse=True, return_counts=True
     )
-    cls = _classes(d_class.shape[0], counts)
+    cls = _classes(counts)
     beta = _one_class_roots(d_class, n, q)
 
     mean, var = _moments(beta, q, cls)

@@ -29,6 +29,18 @@ L_MODES = ("zero", "loglog", "sqrtlog")
 EPS_MODES = ("fixed:<value>", "logn_over_n14", "logn_over_n12")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integral value such as 1.9 is
+    rejected rather than truncated."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer, got {value!r}.")
+    return int(value)
+
+
 def profile_scale(l_mode: str, n: int) -> float:
     """Scale L of the linear truth profile: 0, log(log n) or sqrt(log n)."""
     if n < 3:
@@ -89,6 +101,7 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        self.n, self.reps = _integer(self.n, "n"), _integer(self.reps, "reps")
         if self.n < 3:
             raise ValueError("n must be >= 3.")
         self.q = _check_q(self.q)
@@ -101,7 +114,10 @@ class ExperimentSpec:
         epsilon_schedule(self.eps_mode, self.n)
         if self.pairs is None:
             self.pairs = default_pairs(self.n)
-        self.pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        self.pairs = tuple(
+            (_integer(i, "pair entry"), _integer(j, "pair entry")) for i, j in self.pairs
+        )
+        self.master_seed = _integer(self.master_seed, "master_seed")
         for i, j in self.pairs:
             if i == j:
                 raise ValueError(f"pair ({i},{j}) must have distinct nodes.")
@@ -270,8 +286,8 @@ def rate_study(
     ``n_list`` does not disturb existing entries.
     """
     sizes = list(n_list)
-    if sizes != sorted(sizes):
-        raise ValueError("n_list must be increasing.")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("n_list must be strictly increasing.")
     if reps < 1:
         raise ValueError("reps must be >= 1.")
     rows = []

@@ -32,20 +32,19 @@ temporaries.  A cached call draws the same uniforms as an uncached one, so
 no graph depends on the cache.
 
 Nodes with equal parameters have equal moments, so the degree map and its
-Jacobian also take class multiplicities: one parameter per class of tied
-nodes and the number of nodes in it.  Their cost is then quadratic in the
-number of classes rather than in n.  Both come from one private core: the
-classes are checked and laid out once (``_classes``), and one kernel pass
-(``_moments``) gives the mean and the variance of every class pair, so a
-solver that checks its inputs once can evaluate E(d) and the Jacobian at a
-point for the price of one pass.  ``expected_degrees`` and
-``degree_jacobian`` are the checking public wrappers over that core.
+Jacobian are computed over classes of tied nodes: one parameter per class
+and the number of nodes in it, at a cost quadratic in the number of classes
+rather than in n.  Both come from one private core: the classes are laid
+out once (``_classes``), and one kernel pass (``_moments``) gives the mean
+and the variance of every class pair, so a solver that checks its inputs
+once can evaluate E(d) and the Jacobian at a point for the price of one
+pass.  ``expected_degrees`` and ``degree_jacobian`` are the checking public
+wrappers over that core, with one node per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -141,18 +140,6 @@ def _shifted_exponentials(s, q: int):
     t -= shift
     np.exp(t, out=t)
     return t, t.sum(axis=0)
-
-
-@lru_cache(maxsize=1)
-def _upper_pairs(k: int):
-    """The pairs i < j of k entries in row-major order, read-only.  A solve
-    lays its classes out once (``_classes``); the public moment functions
-    ask again on every call, as a finite-difference loop does with one k,
-    so the last answer is kept."""
-    pairs = np.triu_indices(k, 1)
-    for arr in pairs:
-        arr.flags.writeable = False
-    return pairs
 
 
 # The thresholds of the last (alpha, q) sampled are kept if they take at
@@ -252,16 +239,12 @@ class _Classes(NamedTuple):
     c_own: np.ndarray
 
 
-def _classes(k: int, counts=None) -> _Classes:
-    """Check counts (one multiplicity >= 1 per class, or None for one node
-    per class) and lay out the class pairs once for every moment pass."""
-    if counts is None:
-        c = np.ones(k)
-    else:
-        c = np.asarray(counts, dtype=float)
-        if c.shape != (k,) or not np.all(c >= 1):
-            raise ValueError("counts must hold one multiplicity >= 1 per entry.")
-    iu, ju = _upper_pairs(k)
+def _classes(counts) -> _Classes:
+    """Lay out the class pairs of the multiplicities counts (each >= 1)
+    once for every moment pass."""
+    c = np.asarray(counts, dtype=float)
+    k = c.shape[0]
+    iu, ju = np.triu_indices(k, 1)
     return _Classes(k, c, iu, ju, iu * k + ju, c[iu], c[ju], c - 1.0)
 
 
@@ -295,8 +278,10 @@ def _node_sums(cls: _Classes, x: np.ndarray) -> np.ndarray:
 
 
 def _class_jacobian(cls: _Classes, var: np.ndarray) -> np.ndarray:
-    """The k-by-k matrix P^T V P of ``degree_jacobian`` from the pair
-    variances var of ``_moments``."""
+    """The k-by-k class Jacobian P^T V P from the pair variances var of
+    ``_moments``, where V is the node-level ``degree_jacobian`` and P the
+    n-by-k class-indicator matrix: entry (a, b) is c_a c_b v_ab off the
+    diagonal and c_a v_ii + c_a (c_a - 1) v_aa on it."""
     k, c = cls.k, cls.c
     pair, own = var[:-k], var[-k:]
     v = np.zeros((k, k))
@@ -309,31 +294,21 @@ def _class_jacobian(cls: _Classes, var: np.ndarray) -> np.ndarray:
     return v
 
 
-def expected_degrees(alpha, q: int, counts=None) -> np.ndarray:
+def expected_degrees(alpha, q: int) -> np.ndarray:
     """Expected degree E(d_i) = sum_{j != i} E(a_ij), the mean edge weights
-    at the pair sums alpha_i + alpha_j.
-
-    With counts, entry a of alpha stands for counts[a] nodes that share it,
-    and entry a of the result is the expected degree of each of them.
-    """
+    at the pair sums alpha_i + alpha_j."""
     a, q = _as_alpha(alpha), _check_q(q)
-    cls = _classes(a.shape[0], counts)
+    cls = _classes(np.ones(a.shape[0]))
     return _node_sums(cls, _moments(a, q, cls)[0])
 
 
-def degree_jacobian(alpha, q: int, counts=None) -> np.ndarray:
+def degree_jacobian(alpha, q: int) -> np.ndarray:
     """Jacobian of the expected-degree map; also the covariance matrix of d.
 
     Off-diagonal entries are the edge-weight variances v_ij = Var(a_ij) > 0
     and the diagonal carries the row sums v_ii = sum_{j != i} v_ij exactly,
     so the matrix is symmetric positive definite on feasible problems.
-
-    With counts (class multiplicities c, see ``expected_degrees``) the
-    result is P^T V P, where V is the node-level matrix and P the n-by-k
-    class-indicator matrix: entry (a, b) is c_a c_b v_ab off the diagonal
-    and c_a v_ii + c_a (c_a - 1) v_aa on it.  With one node per entry it
-    is V itself.
     """
     a, q = _as_alpha(alpha), _check_q(q)
-    cls = _classes(a.shape[0], counts)
+    cls = _classes(np.ones(a.shape[0]))
     return _class_jacobian(cls, _moments(a, q, cls)[1])

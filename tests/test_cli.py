@@ -438,6 +438,66 @@ class TestCliCommands:
                      "--out", str(out3)]) == 0
         assert out3.read_text().splitlines()[1].endswith(",5")
 
+    def test_config_pairs_match_flag_pairs(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 20, "q": 3, "reps": 4, "seed": 3,
+                                      "pairs": [[1, 2], [19, 20]]}))
+        from_config, from_flag = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(from_config)]) == 0
+        assert main(["simulate", "--n", "20", "--q", "3", "--reps", "4", "--seed", "3",
+                     "--pairs", "1:2,19:20", "--out", str(from_flag)]) == 0
+        assert from_config.read_bytes() == from_flag.read_bytes()
+        assert from_config.read_text().splitlines()[2].startswith("19,20,")
+
+    @pytest.mark.parametrize(
+        "command, keys, resolved",
+        [
+            (["generate", "--q", "3", "--alpha", "0,0.5,1"],
+             {"n", "q", "L", "alpha", "seed", "out"},
+             {"n": 3, "q": 3, "seed": 6, "alpha": [0.0, 0.5, 1.0], "L": None}),
+            (["release", "--input", "{zebra}", "--q", "3", "--eps", "1"],
+             {"input", "q", "eps", "n", "seed", "kind", "skew_ratio", "debug_noise", "out"},
+             {"q": 3, "seed": 6, "n": None, "kind": "symmetric"}),
+            (["fit", "--input", "{release}"],
+             {"input", "q", "tol", "max_iter", "out"},
+             {"q": 3, "max_iter": 200}),
+            (["pipeline", "--input", "{zebra}", "--q", "3", "--eps", "1", "--no-prune"],
+             {"input", "q", "eps", "seed", "level", "prune", "out_prefix"},
+             {"q": 3, "seed": 6, "prune": False}),
+            (["simulate", "--config", "{config}", "--reps", "2"],
+             {"n", "q", "l_mode", "eps_mode", "reps", "level", "pairs", "master_seed",
+              "out"},
+             {"n": 12, "q": 3, "reps": 2, "master_seed": 8, "eps_mode": "fixed:2"}),
+            (["qq", "--n", "20", "--q", "3", "--reps", "40", "--seed", "2",
+              "--pair", "19:20"],
+             {"n", "q", "l_mode", "eps_mode", "reps", "level", "pairs", "master_seed",
+              "pair", "out"},
+             {"n": 20, "q": 3, "master_seed": 2, "pair": [19, 20]}),
+            (["rate", "--config", "{config}", "--n-list", "20,30"],
+             {"n_list", "q", "L", "eps", "reps", "seed", "out"},
+             {"n_list": [20, 30], "q": 3, "reps": 1, "seed": 8, "L": "zero"}),
+        ],
+        ids=["generate", "release", "fit", "pipeline", "simulate", "qq", "rate"],
+    )
+    def test_manifest_params_are_the_resolved_flags(
+        self, tmp_path, zebra_path, monkeypatch, command, keys, resolved
+    ):
+        # the seed comes from DPBETA_SEED unless a flag or config sets it
+        monkeypatch.setenv("DPBETA_SEED", "6")
+        release = tmp_path / "rel.json"
+        release.write_text('{"q": 3, "d_bar": [2, 3, 4, 5]}')
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 12, "q": 3, "reps": 1, "seed": 8}))
+        paths = {"zebra": zebra_path, "release": release, "config": config}
+        argv = [arg.format(**paths) for arg in command]
+        out = tmp_path / "out"
+        argv += ["--out-prefix" if command[0] == "pipeline" else "--out", str(out)]
+        assert main(argv) in (0, 3)
+        manifest = next(tmp_path.glob("out*.manifest.json"))
+        params = json.loads(manifest.read_text())["params"]
+        assert set(params) == keys
+        assert {k: params[k] for k in resolved} == resolved
+
     def test_seed_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DPBETA_SEED", "4")
         env_out = tmp_path / "env.txt"
@@ -544,6 +604,9 @@ class TestExitCodes:
                 )
                 for token in ("NaN", "Infinity", "-Infinity")
             ),
+            pytest.param(
+                '{"q": 2, "d_bar": [1%s, 2, 2]}' % ("0" * 400), "non-finite", id="huge-int"
+            ),
             pytest.param('{"q": 3.7, "d_bar": [2, 2, 2]}', "q must be", id="q-3.7"),
             pytest.param('{"q": true, "d_bar": [1, 1, 1]}', "q must be", id="q-true"),
             pytest.param('{"q": 1, "d_bar": [1, 1, 1]}', "q must be", id="q-1"),
@@ -571,6 +634,10 @@ class TestExitCodes:
             ("rate", {"n_list": [20, 30], "q": 2.5}, "q"),
             ("rate", {"n_list": [20, 30.5], "q": 3}, "n_list entry"),
             ("rate", {"n_list": [20, 30], "q": 3, "reps": 2.5}, "reps"),
+            ("simulate", {"n": 20, "q": 3, "reps": 1, "seed": 2.7}, "seed"),
+            ("simulate", {"n": 20, "q": 3, "reps": 1, "seed": True}, "seed"),
+            ("rate", {"n_list": [20], "q": 3, "reps": 1, "seed": 2.7}, "seed"),
+            ("simulate", {"n": 20, "q": 3, "reps": 1, "pairs": [[1.9, 2]]}, "pair entry"),
         ],
     )
     def test_non_integral_config_count_is_usage_error(
@@ -617,6 +684,40 @@ class TestExitCodes:
         assert main(["pipeline", "--input", str(bad), "--q", "3", "--eps", "1",
                      "--out-prefix", str(tmp_path / "o")]) == 2
         assert "data error: line " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "release", "fit", "pipeline", "simulate"])
+    def test_bad_q_flag_is_usage_error(self, tmp_path, zebra_path, capsys, command):
+        # the same exit code whichever command is handed --q 1
+        release = tmp_path / "rel.json"
+        release.write_text('{"q": 3, "d_bar": [2, 3, 4, 5]}')
+        argv = {
+            "generate": ["--n", "5"],
+            "release": ["--input", str(zebra_path), "--eps", "1"],
+            "fit": ["--input", str(release)],
+            "pipeline": ["--input", str(zebra_path), "--eps", "1"],
+            "simulate": ["--n", "20", "--reps", "1"],
+        }[command]
+        out = ["--out-prefix" if command == "pipeline" else "--out", str(tmp_path / "o")]
+        assert main([command, *argv, "--q", "1", *out]) == 1
+        assert "q must be an integer >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [release]
+
+    def test_bad_level_is_usage_error_before_the_fit(self, tmp_path, capsys):
+        # the fit on this file does not exist; the level is checked anyway
+        p = tmp_path / "tiny.txt"
+        p.write_text("1 2 1\n")
+        code = main(["pipeline", "--input", str(p), "--q", "2", "--eps", "0.05",
+                     "--seed", "1", "--level", "1.5", "--out-prefix", str(tmp_path / "t")])
+        assert code == 1
+        assert "level must lie strictly in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_repeated_rate_sizes_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        assert main(["rate", "--n-list", "20,20", "--q", "3", "--reps", "1",
+                     "--out", str(out)]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_skew_ratio_is_usage_error(self, tmp_path, zebra_path):
         assert main(["release", "--input", str(zebra_path), "--q", "3",

@@ -87,6 +87,29 @@ class TestSpecValidation:
         spec = ExperimentSpec(n=10, q=3.0)
         assert spec.q == 3 and isinstance(spec.q, int)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"pairs": ((1.9, 2),)}, "pair entry"),
+            ({"pairs": ((1, True),)}, "pair entry"),
+            ({"pairs": (("1", 2),)}, "pair entry"),
+            ({"master_seed": 2.7}, "master_seed"),
+            ({"master_seed": True}, "master_seed"),
+            ({"n": 10.5}, "n"),
+            ({"reps": 2.5}, "reps"),
+        ],
+        ids=["pair-1.9", "pair-true", "pair-str", "seed-2.7", "seed-true", "n-10.5", "reps-2.5"],
+    )
+    def test_rejects_non_integral_counts(self, kwargs, name):
+        # rejected, not truncated: pair (1.9, 2) must not track (1, 2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentSpec(**({"n": 10, "q": 2} | kwargs))
+
+    def test_integral_float_entries_are_stored_as_int(self):
+        spec = ExperimentSpec(n=10.0, q=2, reps=3.0, pairs=((1.0, 2),), master_seed=4.0)
+        assert (spec.n, spec.reps, spec.pairs, spec.master_seed) == (10, 3, ((1, 2),), 4)
+        assert all(isinstance(v, int) for v in (spec.n, spec.reps, *spec.pairs[0]))
+
 
 class TestRunExperiment:
     def test_deterministic(self):
@@ -224,6 +247,8 @@ class TestRateStudy:
     def test_rejects_decreasing_sizes(self):
         with pytest.raises(ValueError):
             rate_study([100, 50], 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rate_study([20, 20], 3, reps=1)  # would write two identical rows
         for reps in (0, -3):
             with pytest.raises(ValueError, match="reps must be >= 1"):
                 rate_study([20], 3, reps=reps)
