@@ -48,7 +48,7 @@ from .mechanisms import (
     theory_epsilon_floor,
     worst_case_log_ratio,
 )
-from .model import sample_graph
+from .model import _check_q, sample_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -333,6 +333,10 @@ def _cmd_release(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    """Fit a release file.  Without --q the release's q is used: it must be
+    a JSON integer that passes the same check as the flag, which caps q at
+    ``model._Q_MAX`` (65536), the most the moment kernel is built to hold.
+    A release that fails it is a data error; the flag, a usage error."""
     try:
         payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -343,8 +347,12 @@ def _cmd_fit(args) -> int:
         args.q = payload.get("q")
         if args.q is None:
             raise EdgeListError("release file lacks q; pass --q.")
-        if isinstance(args.q, bool) or not isinstance(args.q, int) or args.q < 2:
-            raise DataError(f"release file {args.input}: q must be an integer >= 2.")
+        try:
+            if not isinstance(args.q, int):  # a release writes q as an integer
+                raise ValueError(f"q must be an integer >= 2, got {args.q!r}.")
+            _check_q(args.q)
+        except ValueError as exc:
+            raise DataError(f"release file {args.input}: {exc}") from None
     d_bar = payload["d_bar"]
     if not isinstance(d_bar, list) or len(d_bar) < 2 or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in d_bar

@@ -182,7 +182,8 @@ def parse_edge_list(
     Raises
     ------
     ValueError
-        On a q that is not an integer in 2..10**18.
+        On a q that ``model._check_q`` rejects, or a declared n above
+        3037000499.
     EdgeListError
         On text that is not UTF-8, lines without exactly three integer
         fields, ids below 1 or above 3037000499, self-loops, weights outside
@@ -191,12 +192,8 @@ def parse_edge_list(
         without a line number, on an id above n or an empty file without n.
     """
     q = _check_q(q)
-    if q > 10**_DIGITS:
-        raise ValueError(f"q must be at most 10**{_DIGITS}, got {q}.")
     if n is not None and n > _ID_MAX:
-        raise EdgeListError(
-            f"n={n} exceeds the largest supported node count {_ID_MAX}."
-        )
+        raise ValueError(f"n={n} exceeds the largest supported node count {_ID_MAX}.")
     # a leading LF makes newline[k] the start of line k + 1; a trailing one
     # ends the last line
     buf = np.frombuffer(b"\n" + _read_text(path) + b"\n", dtype=np.uint8)

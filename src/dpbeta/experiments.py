@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimator import FitResult, contrast_ci, normal_quantile, solve
 from .mechanisms import calibrate, sample_noise
-from .model import _check_q, sample_graph
+from .model import _check_q, _sample_degrees
 
 L_MODES = ("zero", "loglog", "sqrtlog")
 EPS_MODES = ("fixed:<value>", "logn_over_n14", "logn_over_n12")
@@ -194,10 +194,13 @@ def _study_setup(l_mode: str, eps_mode: str, n: int):
 def _replicate(
     alpha_star: np.ndarray, q: int, mechanism, seed: np.random.SeedSequence
 ) -> FitResult:
-    """One replication: sample graph, release degrees, fit."""
+    """One replication: sample a graph's degrees, release them, fit.
+
+    Only the degrees are drawn, from the same stream as ``sample_graph``;
+    no edge list is built.
+    """
     rng = np.random.default_rng(seed)
-    graph = sample_graph(alpha_star, q, rng)
-    d = graph.degrees()
+    d = _sample_degrees(alpha_star, q, rng)
     e = sample_noise(mechanism, d.shape[0], rng)
     return solve(d + e, q)
 

@@ -23,13 +23,18 @@ those weights.  The only matrix built here is the Jacobian the Newton step
 solves with.
 
 Sampling draws one uniform per pair, in row-major i < j order, and counts
-the pair's cdf thresholds it reaches.  The thresholds depend only on (alpha,
-q), and every replication of a study samples at the same truth, so
-``sample_graph`` keeps those of its last (alpha, q) in a one-slot cache,
-keyed on q and the bytes of alpha, when they fit a fixed 64 MB budget (q=3
-up to n ~ 2900).  They are built in blocks of 2**16 pairs to bound the
-temporaries.  A cached call draws the same uniforms as an uncached one, so
-no graph depends on the cache.
+the pair's cdf thresholds it reaches.  One private core, ``_pair_weights``,
+yields those weights in blocks.  The thresholds depend only on (alpha, q),
+and every replication of a study samples at the same truth, so when they
+and the pairs' column indices fit a fixed 64 MB budget (q=3 up to
+n ~ 2360) they are kept in a one-slot cache, keyed on q and the bytes of
+alpha, and a draw is one block that costs only its uniforms.  Above the
+budget each block of 2**16 pairs builds its own thresholds and draws its
+own uniforms, so memory stays bounded at any n.  Uniforms drawn in blocks
+are the same stream as one call, so no draw depends on the path.  Two
+consumers share the core: ``sample_graph`` keeps each block's nonzero
+pairs, and ``_sample_degrees``, which a study replication calls, adds each
+block's weights into the degrees directly, building no edge list.
 
 Nodes with equal parameters have equal moments, so the degree map and its
 Jacobian are computed over classes of tied nodes: one parameter per class
@@ -60,15 +65,24 @@ def _as_alpha(alpha) -> np.ndarray:
     return arr
 
 
+# The largest q accepted.  A moment pass holds q terms per pair sum and
+# sampling q-1 thresholds per pair, 512 KB each at this cap; a q in the
+# billions, which a release file may declare, would ask for gigabytes on two
+# nodes.
+_Q_MAX = 2**16
+
+
 def _check_q(q) -> int:
-    """q as an int >= 2.  A bool or a non-integral value such as 2.5 is
-    rejected rather than truncated."""
+    """q as an int in 2.._Q_MAX.  A bool or a non-integral value such as 2.5
+    is rejected rather than truncated."""
     try:
         ok = not isinstance(q, (bool, np.bool_)) and q == int(q) and q >= 2
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ValueError(f"q must be an integer >= 2, got {q!r}.")
+    if q > _Q_MAX:
+        raise ValueError(f"q must be at most {_Q_MAX}, got {q}.")
     return int(q)
 
 
@@ -142,15 +156,21 @@ def _shifted_exponentials(s, q: int):
     return t, t.sum(axis=0)
 
 
-# The thresholds of the last (alpha, q) sampled are kept if they take at
-# most this many bytes: 64 MB holds q=3 up to n ~ 2900.  Bigger sizes are
-# rebuilt on every call.
+# The thresholds and column indices of the last (alpha, q) sampled are kept
+# if they take at most this many bytes, 8q per pair: 64 MB holds q=3 up to
+# n ~ 2360.  Bigger sizes are streamed, block by block, on every call.
 _THRESHOLD_BUDGET = 64 * 2**20
-# Pairs per block of the threshold build; it bounds the pair-sum and
-# softmax temporaries.
+# Pairs per block of the threshold build and of a streamed draw; it bounds
+# the pair-sum, softmax and uniform temporaries.
 _BLOCK_PAIRS = 2**16
-# At most one entry, (q, alpha bytes) -> (thresholds, row starts).
+# At most one entry, (q, alpha bytes) -> (thresholds, columns).
 _threshold_cache: dict = {}
+
+
+def _row_starts(n: int) -> np.ndarray:
+    """The row-major index at which the pairs (i, j > i) of each row i start."""
+    rows = np.arange(n)
+    return rows * (n - 1) - rows * (rows - 1) // 2
 
 
 def _pair_nodes(flat: np.ndarray, starts: np.ndarray):
@@ -161,48 +181,74 @@ def _pair_nodes(flat: np.ndarray, starts: np.ndarray):
     return np.repeat(rows, per_row), flat - np.repeat(starts - rows - 1, per_row)
 
 
-def _pair_thresholds(a: np.ndarray, q: int):
-    """The cdf thresholds of every pair i < j, as a (q-1, P) array in
-    row-major pair order, and the index at which each row's pairs start.
+def _block_thresholds(a, q: int, lo: int, hi: int, starts, out=None):
+    """The cdf thresholds of the pairs lo..hi-1 in row-major order, as a
+    (q-1, hi-lo) array (written to out if given), and the pairs' columns j.
 
     Threshold k of a pair is P(a_ij <= k).  The last cdf value, 1, is left
-    out: no uniform in [0, 1) reaches it.  The thresholds are built in
-    blocks of ``_BLOCK_PAIRS`` pairs; the last answer is kept, read-only,
-    if it fits ``_THRESHOLD_BUDGET``.
+    out: no uniform in [0, 1) reaches it.
     """
-    key = (q, a.tobytes())
-    if key in _threshold_cache:
-        return _threshold_cache[key]
-    _threshold_cache.clear()
+    i, j = _pair_nodes(np.arange(lo, hi), starts)
+    t, den = _shifted_exponentials(a[i] + a[j], q)
+    cdf = np.divide(t[:-1], den, out=out)
+    for k in range(1, q - 1):
+        cdf[k] += cdf[k - 1]
+    return cdf, j
+
+
+def _pair_weights(a: np.ndarray, q: int, rng, starts: np.ndarray):
+    """Draw every pair's weight, one uniform per pair in row-major order,
+    and yield them in consecutive blocks (lo, w, j): the weights w of the
+    pairs lo, lo+1, ... and the pairs' columns j.
+
+    A pair's weight is the number of its cdf thresholds its uniform reaches.
+    The thresholds and columns depend only on (alpha, q).  If they fit
+    ``_THRESHOLD_BUDGET`` they are built once, kept read-only in a one-slot
+    cache, and every draw is one block.  Otherwise each block of
+    ``_BLOCK_PAIRS`` pairs builds its own and draws its own uniforms.
+    Uniforms drawn in blocks are the same stream as those of one call, so
+    no weight depends on the path.
+    """
     n = a.shape[0]
-    rows = np.arange(n)
-    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    if n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}.")
     pairs = n * (n - 1) // 2
-    thresholds = np.empty((q - 1, pairs))
+    dtype = np.min_scalar_type(q - 1)
+    key = (q, a.tobytes())
+    cached = _threshold_cache.get(key)
+    if cached is None:
+        _threshold_cache.clear()
+        if 8 * q * pairs <= _THRESHOLD_BUDGET:
+            thresholds = np.empty((q - 1, pairs))
+            cols = np.empty(pairs, dtype=np.intp)
+            for lo in range(0, pairs, _BLOCK_PAIRS):
+                hi = min(lo + _BLOCK_PAIRS, pairs)
+                _, cols[lo:hi] = _block_thresholds(
+                    a, q, lo, hi, starts, out=thresholds[:, lo:hi]
+                )
+            thresholds.flags.writeable = cols.flags.writeable = False
+            cached = _threshold_cache[key] = (thresholds, cols)
+    if cached is not None:
+        thresholds, cols = cached
+        yield 0, (rng.random(pairs) >= thresholds).sum(axis=0, dtype=dtype), cols
+        return
     for lo in range(0, pairs, _BLOCK_PAIRS):
-        i, j = _pair_nodes(np.arange(lo, min(lo + _BLOCK_PAIRS, pairs)), starts)
-        t, den = _shifted_exponentials(a[i] + a[j], q)
-        cdf = thresholds[:, lo : lo + i.size]
-        np.divide(t[:-1], den, out=cdf)
-        for k in range(1, q - 1):
-            cdf[k] += cdf[k - 1]
-    if thresholds.nbytes <= _THRESHOLD_BUDGET:
-        thresholds.flags.writeable = False
-        starts.flags.writeable = False
-        _threshold_cache[key] = (thresholds, starts)
-    return thresholds, starts
+        hi = min(lo + _BLOCK_PAIRS, pairs)
+        cdf, j = _block_thresholds(a, q, lo, hi, starts)
+        yield lo, (rng.random(hi - lo) >= cdf).sum(axis=0, dtype=dtype), j
 
 
 def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     """Draw a graph with independent multinomial edge weights.
 
-    Pairs are enumerated in row-major i < j order, one uniform draw per
-    pair (a single ``rng.random(P)`` call), so identical seeds give
-    identical graphs.  A pair's weight is the number of its cdf thresholds
-    its uniform reaches.  The thresholds depend only on (alpha, q): the
-    last ones built are kept in a one-slot cache within a fixed byte budget
-    (see ``_pair_thresholds``), so a repeated call, as in every replication
-    of a study, only draws its uniforms.  The cache changes no draw.
+    Pairs are enumerated in row-major i < j order with one uniform draw per
+    pair, so identical seeds give identical graphs.  A pair's weight is the
+    number of its cdf thresholds its uniform reaches.  The thresholds
+    depend only on (alpha, q): within a fixed byte budget the last ones
+    built are kept in a one-slot cache, so a repeated call only draws its
+    uniforms; above it they are built and used block by block, so memory
+    stays bounded apart from the graph itself.  Neither path changes a draw
+    (see ``_pair_weights``).
 
     Parameters
     ----------
@@ -214,13 +260,38 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
         Anything accepted by ``numpy.random.default_rng``.
     """
     a, q = _as_alpha(alpha), _check_q(q)
-    rng = np.random.default_rng(seed)
-    thresholds, starts = _pair_thresholds(a, q)
-    u = rng.random(thresholds.shape[1])
-    w = (u >= thresholds).sum(axis=0, dtype=np.min_scalar_type(q - 1))
-    del u  # free the uniforms before the edge arrays
-    flat = np.flatnonzero(w)
-    return WeightedGraph(a.shape[0], q, *_pair_nodes(flat, starts), w[flat])
+    starts = _row_starts(a.shape[0])
+    flat, weights = [], []
+    for lo, w, _ in _pair_weights(a, q, np.random.default_rng(seed), starts):
+        nonzero = np.flatnonzero(w)
+        weights.append(w[nonzero])
+        nonzero += lo
+        flat.append(nonzero)
+    i, j = _pair_nodes(np.concatenate(flat), starts)
+    return WeightedGraph(a.shape[0], q, i, j, np.concatenate(weights))
+
+
+def _sample_degrees(alpha, q: int, seed=None) -> np.ndarray:
+    """The degrees of ``sample_graph(alpha, q, seed)``, from the same draws,
+    without building the graph.
+
+    Each block of pair weights is summed along its rows, which are runs of
+    consecutive pairs starting at the row starts, and scattered to its
+    columns.
+    """
+    a, q = _as_alpha(alpha), _check_q(q)
+    n = a.shape[0]
+    starts = _row_starts(n)
+    rows = np.zeros(n, dtype=np.int64)
+    cols = np.zeros(n)  # sums of small integers: exact in float
+    for lo, w, j in _pair_weights(a, q, np.random.default_rng(seed), starts):
+        first, last = np.searchsorted(starts, (lo, lo + w.size - 1), side="right") - 1
+        runs = np.maximum(starts[first : last + 1] - lo, 0)
+        rows[first : last + 1] += np.add.reduceat(w, runs, dtype=np.int64)
+        # float weights: bincount converts small-integer ones several times
+        # slower than astype does
+        cols += np.bincount(j, w.astype(float), n)
+    return rows + cols.astype(np.int64)
 
 
 class _Classes(NamedTuple):

@@ -152,8 +152,10 @@ class TestParseEdgeList:
         p.write_text("1 3037000499 1\n")
         g = parse_edge_list(p, q=2)
         assert g.n == 3037000499 and g.j.tolist() == [3037000498]
-        with pytest.raises(EdgeListError, match="3037000499"):
+        # a declared n out of range is the caller's fault, not the file's
+        with pytest.raises(ValueError, match="3037000499") as err:
             parse_edge_list(p, q=2, n=3037000500)
+        assert not isinstance(err.value, DataError)
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -610,6 +612,15 @@ class TestExitCodes:
             pytest.param('{"q": 3.7, "d_bar": [2, 2, 2]}', "q must be", id="q-3.7"),
             pytest.param('{"q": true, "d_bar": [1, 1, 1]}', "q must be", id="q-true"),
             pytest.param('{"q": 1, "d_bar": [1, 1, 1]}', "q must be", id="q-1"),
+            # more weight classes than the moment kernel is built to hold
+            pytest.param(
+                '{"q": 1000000000, "d_bar": [2, 3, 4, 5]}', "q must be at most", id="q-1e9"
+            ),
+            pytest.param(
+                '{"q": 1%s, "d_bar": [2, 3, 4, 5]}' % ("0" * 400),
+                "q must be at most",
+                id="q-1e400",
+            ),
             pytest.param('{"q": 2, "d_bar": ["a", "b"]}', "list of", id="d_bar-str"),
             pytest.param('{"q": 2, "d_bar": 5}', "list of", id="d_bar-scalar"),
             pytest.param('{"q": 2, "d_bar": [[1, 1]]}', "list of", id="d_bar-2d"),
@@ -701,6 +712,13 @@ class TestExitCodes:
         assert main([command, *argv, "--q", "1", *out]) == 1
         assert "q must be an integer >= 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [release]
+
+    def test_out_of_range_n_flag_is_usage_error(self, tmp_path, zebra_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["release", "--input", str(zebra_path), "--q", "3", "--eps", "1",
+                     "--n", "3037000500", "--out", str(out)]) == 1
+        assert "error: n=3037000500 exceeds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_level_is_usage_error_before_the_fit(self, tmp_path, capsys):
         # the fit on this file does not exist; the level is checked anyway

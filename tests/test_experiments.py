@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dpbeta import model
+from dpbeta.estimator import solve
 from dpbeta.experiments import (
     ExperimentResult,
     ExperimentSpec,
     PairSummary,
+    _replicate,
+    _study_setup,
+    child_seed,
     default_pairs,
     epsilon_schedule,
     profile_scale,
@@ -16,6 +21,7 @@ from dpbeta.experiments import (
     run_experiment,
     truth_profile,
 )
+from dpbeta.mechanisms import sample_noise
 
 
 class TestSchedules:
@@ -265,3 +271,23 @@ class TestReproducibility:
             assert pa.coverage == pb.coverage
             assert pa.mean_length == pb.mean_length
         assert a.nonexistence == b.nonexistence
+
+
+class TestReplicate:
+    def test_draws_degrees_without_building_a_graph(self, monkeypatch):
+        # the same fit as sampling the graph and taking its degrees
+        alpha, mechanism = _study_setup("sqrtlog", "fixed:2", 40)
+        seed = child_seed(9, 0)
+        rng = np.random.default_rng(seed)
+        d = model.sample_graph(alpha, 3, rng).degrees()
+        expected = solve(d + sample_noise(mechanism, 40, rng), 3)
+
+        def refuse(graph):
+            raise AssertionError("a WeightedGraph was built")
+
+        monkeypatch.setattr(model.WeightedGraph, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="WeightedGraph"):
+            model.sample_graph(alpha, 3, seed=1)
+        fit = _replicate(alpha, 3, mechanism, seed)
+        assert fit.status == expected.status
+        np.testing.assert_array_equal(fit.alpha_hat, expected.alpha_hat)

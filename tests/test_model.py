@@ -100,6 +100,33 @@ class TestMeanWeight:
                 assert np.isfinite(var) and var >= 0.0
 
 
+# sha256 prefixes of the dense weights of sample_graph(truth, q, seed=2002)
+# at the sqrt(log n) truth profile
+PINNED_N60 = [(2, "0c596f8d79d08e0b"), (3, "9dc9d1211d9c186f"), (5, "31cc5032eba99b9c")]
+PINNED_SIZES = [
+    (2, 2, "db7f8e2aa97f8d23"),
+    (2, 3, "e84f1be4268b18b9"),
+    (3, 2, "d013045e8789b95a"),
+    (3, 3, "e2db79364667a8c7"),
+    # 79,800 pairs: the thresholds are built in more than one block
+    (400, 2, "819a9370ce0db3cc"),
+    (400, 3, "b893f98d4f4cb6e6"),
+]
+
+
+def pinned_digest(n, q):
+    alpha = truth_profile(n, math.sqrt(math.log(n)))
+    w = dense(sample_graph(alpha, q, seed=2002))
+    return hashlib.sha256(w.astype("<i8").tobytes()).hexdigest()[:16]
+
+
+@pytest.fixture
+def streamed(monkeypatch):
+    """No threshold budget: every draw builds its thresholds block by block."""
+    monkeypatch.setattr(model, "_THRESHOLD_BUDGET", 0)
+    model._threshold_cache.clear()
+
+
 class TestSampleGraph:
     def test_mean_degree_near_half(self):
         n = 100
@@ -144,33 +171,15 @@ class TestSampleGraph:
             chi2 = float(((counts - expected) ** 2 / expected).sum())
             assert chi2 < stats.chi2.ppf(0.999, q - 1)
 
-    @pytest.mark.parametrize(
-        "q, digest",
-        [(2, "0c596f8d79d08e0b"), (3, "9dc9d1211d9c186f"), (5, "31cc5032eba99b9c")],
-    )
+    @pytest.mark.parametrize("q, digest", PINNED_N60)
     def test_draws_are_pinned(self, q, digest):
         # the sampled weights of a fixed seed never change: one uniform per
         # pair in row-major order, compared against a recorded stream
-        alpha = truth_profile(60, math.sqrt(math.log(60)))
-        w = dense(sample_graph(alpha, q, seed=2002))
-        assert hashlib.sha256(w.astype("<i8").tobytes()).hexdigest()[:16] == digest
+        assert pinned_digest(60, q) == digest
 
-    @pytest.mark.parametrize(
-        "n, q, digest",
-        [
-            (2, 2, "db7f8e2aa97f8d23"),
-            (2, 3, "e84f1be4268b18b9"),
-            (3, 2, "d013045e8789b95a"),
-            (3, 3, "e2db79364667a8c7"),
-            # 79,800 pairs: the thresholds are built in more than one block
-            (400, 2, "819a9370ce0db3cc"),
-            (400, 3, "b893f98d4f4cb6e6"),
-        ],
-    )
+    @pytest.mark.parametrize("n, q, digest", PINNED_SIZES)
     def test_draws_are_pinned_at_other_sizes(self, n, q, digest):
-        alpha = truth_profile(n, math.sqrt(math.log(n)))
-        w = dense(sample_graph(alpha, q, seed=2002))
-        assert hashlib.sha256(w.astype("<i8").tobytes()).hexdigest()[:16] == digest
+        assert pinned_digest(n, q) == digest
 
     def test_single_node_is_rejected(self):
         with pytest.raises(ValueError, match="n must be an integer >= 2"):
@@ -208,8 +217,19 @@ class TestThresholdCache:
 
     def test_cached_thresholds_are_read_only(self):
         sample_graph(np.zeros(20), 3, seed=1)
-        (thresholds, starts), = model._threshold_cache.values()
-        assert not thresholds.flags.writeable and not starts.flags.writeable
+        (entry,) = model._threshold_cache.values()
+        assert len(entry) == 2  # the thresholds and the pairs' columns
+        assert not any(array.flags.writeable for array in entry)
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_budget_counts_thresholds_and_columns(self, monkeypatch, spare):
+        # q-1 thresholds and one column index per pair: 8q bytes
+        n, q = 30, 3
+        monkeypatch.setattr(model, "_THRESHOLD_BUDGET", 8 * q * (n * (n - 1) // 2) + spare)
+        model._threshold_cache.clear()
+        g = sample_graph(np.linspace(-1.0, 1.0, n), q, seed=3)
+        assert len(model._threshold_cache) == (spare == 0)
+        assert same_graph(g, cold_sample(np.linspace(-1.0, 1.0, n), q, seed=3))
 
     def test_studies_do_not_depend_on_order(self):
         # the study-n100 interleaving: settings A, B, A in one process
@@ -236,6 +256,64 @@ class TestThresholdCache:
             tracemalloc.stop()
         assert g.w.size > 0
         assert peak < 28 * 2**20
+
+
+class TestStreamedSampling:
+    """Above the threshold budget, draws are built and counted in blocks."""
+
+    @pytest.mark.parametrize("q, digest", PINNED_N60)
+    def test_draws_are_pinned(self, streamed, q, digest):
+        assert pinned_digest(60, q) == digest
+        assert not model._threshold_cache
+
+    @pytest.mark.parametrize("n, q, digest", PINNED_SIZES)
+    def test_draws_are_pinned_at_other_sizes(self, streamed, n, q, digest):
+        assert pinned_digest(n, q) == digest
+
+    def test_degree_draw_memory(self, streamed):
+        # n=3000, q=3: the full thresholds would take 72 MB; one streamed
+        # block's temporaries take ~6
+        n, q = 3000, 3
+        full = 8 * (q - 1) * (n * (n - 1) // 2)
+        alpha = truth_profile(n, math.sqrt(math.log(n)))
+        tracemalloc.start()
+        try:
+            d = model._sample_degrees(alpha, q, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.sum() > 0
+        assert peak < full / 6
+
+
+class TestSampleDegrees:
+    """The degree-only draw gives the degrees of the graph the same seed
+    gives, and leaves the generator where ``sample_graph`` leaves it."""
+
+    @pytest.mark.parametrize("path", ["cached", "streamed"])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 60, 400])
+    def test_match_sampled_graph(self, request, path, n, q):
+        if path == "streamed":
+            request.getfixturevalue("streamed")
+        alpha = np.linspace(-1.0, 2.0, n)
+        pairs = n * (n - 1) // 2
+        for seed in (0, 1, 2002):
+            rng = np.random.default_rng(seed)
+            d = model._sample_degrees(alpha, q, rng)
+            assert d.dtype == np.int64
+            np.testing.assert_array_equal(d, sample_graph(alpha, q, seed).degrees())
+            after = np.random.default_rng(seed)
+            after.random(pairs)
+            assert rng.random() == after.random()
+
+    def test_rejects_what_sample_graph_rejects(self):
+        for alpha, q in (([0.3], 3), ([0.0, np.nan], 3), ([0.0, 0.0], 1)):
+            with pytest.raises(ValueError) as graph_error:
+                sample_graph(alpha, q, seed=1)
+            with pytest.raises(ValueError) as degree_error:
+                model._sample_degrees(alpha, q, seed=1)
+            assert str(degree_error.value) == str(graph_error.value)
 
 
 class TestExpectedDegrees:
@@ -382,6 +460,21 @@ class TestCheckQ:
             expected_degrees(np.zeros(3), q)
         with pytest.raises(ValueError, match="q must be an integer"):
             solve([1.0, 1.5, 1.2], q)
+
+    @pytest.mark.parametrize("q", [model._Q_MAX + 1, 10**9, 10**400])
+    def test_rejects_q_above_the_cap(self, q):
+        # the kernel holds q terms per pair sum: no huge allocation is tried
+        for call in (
+            lambda: sample_graph(np.zeros(4), q, seed=0),
+            lambda: expected_degrees(np.zeros(3), q),
+            lambda: solve([1.0, 1.5, 1.2], q),
+        ):
+            with pytest.raises(ValueError, match=f"q must be at most {model._Q_MAX}"):
+                call()
+
+    def test_accepts_q_at_the_cap(self):
+        q = model._Q_MAX
+        np.testing.assert_allclose(expected_degrees(np.zeros(2), q), [(q - 1) / 2] * 2)
 
     @pytest.mark.parametrize("q", [3, 3.0, np.int64(3), np.float64(3.0)])
     def test_accepts_integral_q(self, q):
