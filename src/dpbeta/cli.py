@@ -48,7 +48,7 @@ from .mechanisms import (
     theory_epsilon_floor,
     worst_case_log_ratio,
 )
-from .model import _check_q, sample_graph
+from .model import _check_q, _integer, sample_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,16 +217,18 @@ def _whole(value, name: str) -> int:
 
 
 def _seed(args) -> int:
-    """--seed (or a config seed), else $DPBETA_SEED, else 0."""
+    """--seed (or a config seed), else $DPBETA_SEED, else 0; a negative seed
+    is rejected here, as ``numpy.random.SeedSequence`` would reject it."""
     if args.seed is not None:
-        return args.seed
+        return _integer(args.seed, "seed", 0)
     env = os.environ.get(SEED_ENV_VAR)
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer.") from None
+    return _integer(seed, SEED_ENV_VAR, 0)
 
 
 def _study_args(args, **defaults) -> None:

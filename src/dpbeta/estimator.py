@@ -13,7 +13,11 @@ The inputs are checked once per solve.  Each point the iteration evaluates
 costs one pass of the model's moment kernel over the class pairs, which
 gives the residual and the edge-weight variances that build the next
 step's matrix.  For q = 2 and 3 the iteration starts from a closed-form
-one-class root per class; for larger q it starts from zero.
+one-class root per class; for larger q it starts from zero.  From there
+it first tries up to two diagonal steps f_a / v_aa, the fixed-point step
+of Chatterjee, Diaconis & Sly (2011), which V^-1 ~ diag(1 / v_ii) (Yan &
+Xu 2013) justifies: each costs one kernel pass and no linear solve, and
+closes most of the distance from a far start.
 Per-node precision comes from the plug-in diagonal of the Jacobian at the
 solution, the variances of the last pass, which backs normal-approximation
 confidence intervals for single parameters and for contrasts.
@@ -52,6 +56,9 @@ STATUS_DIVERGED = "nonexistent_diverged"
 # from overshooting into regions where the Jacobian degenerates.
 _STEP_CAP = 5.0
 _MIN_STEP = 2.0**-40
+# Diagonal (fixed-point) steps tried before the first Newton step; two
+# close most of the distance from the one-class start at n = 1000.
+_DIAGONAL_STEPS = 2
 # Largest n ``inverse_approximation`` inverts densely.
 _DENSE_INVERSE_CAP = 2000
 
@@ -127,7 +134,7 @@ def solve(
     tol:
         Convergence threshold on the sup norm of the residual, 0 < tol < inf.
     max_iter:
-        Newton iteration budget.
+        Iteration budget, diagonal and Newton steps together.
 
     Notes
     -----
@@ -144,7 +151,14 @@ def solve(
 
     For q = 2 and 3 the iteration starts from the one-class roots
     (``_one_class_roots``), the solution if every node shared its class's
-    noisy degree; for larger q it starts from zero.
+    noisy degree; for larger q it starts from zero.  Before the first
+    Newton step at most two diagonal steps beta <- beta + f / v, with v
+    the class's ``v_hat_diag`` at the current point, are taken: a step is
+    kept only if its full length lowers the residual sup norm, and the
+    first one that does not ends them, without halving.  They need only
+    the variances of the pass already made, and each kept one counts in
+    ``iterations`` and against ``max_iter``.
+
     Noisy degrees outside the open interval (0, (n-1)(q-1)) make the
     equations unsolvable, which is reported without iterating.
     """
@@ -176,10 +190,31 @@ def solve(
     cls = _classes(counts)
     beta = _one_class_roots(d_class, n, q)
 
-    mean, var = _moments(beta, q, cls)
-    f = d_class - _node_sums(cls, mean)
-    fnorm = float(np.max(np.abs(f)))
+    def evaluate(point):
+        """The residual, its sup norm and the pair variances at a point,
+        from one kernel pass."""
+        mean, pair_var = _moments(point, q, cls)
+        r = d_class - _node_sums(cls, mean)
+        return r, float(np.max(np.abs(r))), pair_var
+
+    f, fnorm, var = evaluate(beta)
     iterations = 0
+
+    # Diagonal steps (see Notes).  One is never shortened: put under the
+    # halving below, they ended boundary degrees such as (5, 4, 5, 2) at
+    # q = 3 as diverged.
+    for _ in range(_DIAGONAL_STEPS):
+        if fnorm <= tol or iterations >= max_iter:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cand = beta + f / _node_sums(cls, var)
+        if not np.all(np.isfinite(cand)):
+            break
+        fc, cnorm, var_c = evaluate(cand)
+        if not cnorm < fnorm:
+            break
+        beta, f, fnorm, var = cand, fc, cnorm, var_c
+        iterations += 1
 
     while fnorm > tol and iterations < max_iter:
         try:
@@ -196,9 +231,7 @@ def solve(
         accepted = False
         while step >= _MIN_STEP:
             cand = beta + step * delta
-            mean, var_c = _moments(cand, q, cls)
-            fc = d_class - _node_sums(cls, mean)
-            cnorm = float(np.max(np.abs(fc)))
+            fc, cnorm, var_c = evaluate(cand)
             if cnorm < fnorm:
                 beta, f, fnorm, var = cand, fc, cnorm, var_c
                 accepted = True

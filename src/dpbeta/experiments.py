@@ -23,22 +23,10 @@ import numpy as np
 
 from .estimator import FitResult, contrast_ci, normal_quantile, solve
 from .mechanisms import calibrate, sample_noise
-from .model import _check_q, _sample_degrees
+from .model import _check_q, _integer, _sample_degrees
 
 L_MODES = ("zero", "loglog", "sqrtlog")
 EPS_MODES = ("fixed:<value>", "logn_over_n14", "logn_over_n12")
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; a bool or a non-integral value such as 1.9 is
-    rejected rather than truncated."""
-    try:
-        ok = not isinstance(value, (bool, np.bool_)) and value == int(value)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer, got {value!r}.")
-    return int(value)
 
 
 def profile_scale(l_mode: str, n: int) -> float:
@@ -60,8 +48,8 @@ def epsilon_schedule(eps_mode: str, n: int) -> float:
         raise ValueError("n must be >= 3.")
     if eps_mode.startswith("fixed:"):
         value = float(eps_mode.split(":", 1)[1])
-        if value <= 0:
-            raise ValueError("fixed epsilon must be > 0.")
+        if not 0 < value < math.inf:
+            raise ValueError(f"fixed epsilon must be finite and > 0, got {value}.")
         return value
     if eps_mode == "logn_over_n14":
         return math.log(n) / n**0.25
@@ -117,7 +105,7 @@ class ExperimentSpec:
         self.pairs = tuple(
             (_integer(i, "pair entry"), _integer(j, "pair entry")) for i, j in self.pairs
         )
-        self.master_seed = _integer(self.master_seed, "master_seed")
+        self.master_seed = _integer(self.master_seed, "master_seed", 0)
         for i, j in self.pairs:
             if i == j:
                 raise ValueError(f"pair ({i},{j}) must have distinct nodes.")
@@ -288,9 +276,11 @@ def rate_study(
     Child seeds hash (master_seed, n, replication), so adding sizes to
     ``n_list`` does not disturb existing entries.
     """
-    sizes = list(n_list)
+    sizes = [_integer(n, "n_list entry") for n in n_list]
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("n_list must be strictly increasing.")
+    reps = _integer(reps, "reps")
+    master_seed = _integer(master_seed, "master_seed", 0)
     if reps < 1:
         raise ValueError("reps must be >= 1.")
     rows = []

@@ -26,6 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from .model import _integer
+
 DEGREE_SENSITIVITY = 2
 
 
@@ -53,9 +55,7 @@ class NoiseMechanism:
             raise ValueError(f"unknown mechanism kind {self.kind!r}.")
         if not (0.0 < self.lam < 1.0 and 0.0 < self.mu < 1.0):
             raise ValueError("lam and mu must lie strictly in (0, 1).")
-        self.sensitivity = int(self.sensitivity)
-        if self.sensitivity < 1:
-            raise ValueError("sensitivity must be a positive integer.")
+        self.sensitivity = _integer(self.sensitivity, "sensitivity", 1)
         if self.kind == "symmetric" and self.mu != self.lam:
             raise ValueError("symmetric mechanism requires mu == lam.")
         implied = -self.sensitivity * math.log(min(self.lam, self.mu))
@@ -77,9 +77,11 @@ def calibrate(
     Parameters
     ----------
     epsilon:
-        Privacy parameter, > 0.
+        Privacy parameter, finite and > 0; small enough that
+        exp(-epsilon / sensitivity) does not underflow to 0.
     sensitivity:
-        Global l1 sensitivity of the released statistic (2 for degrees).
+        Global l1 sensitivity of the released statistic (2 for degrees), a
+        positive integer.
     kind:
         "symmetric" sets lam = mu = exp(-epsilon / sensitivity).  "skew"
         sets min(lam, mu) = exp(-epsilon / sensitivity) and scales the other
@@ -89,12 +91,15 @@ def calibrate(
         parameter to 1 or above.
     """
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise CalibrationError("epsilon must be > 0.")
-    sensitivity = int(sensitivity)
-    if sensitivity < 1:
-        raise CalibrationError("sensitivity must be a positive integer.")
+    if not 0 < epsilon < math.inf:
+        raise CalibrationError(f"epsilon must be finite and > 0, got {epsilon}.")
+    # truncating a sensitivity of 2.7 to 2 would calibrate too little noise
+    sensitivity = _integer(sensitivity, "sensitivity", 1)
     base = math.exp(-epsilon / sensitivity)
+    if base == 0.0:
+        raise CalibrationError(
+            f"epsilon={epsilon} is too large: exp(-epsilon / sensitivity) is 0."
+        )
 
     if kind == "symmetric":
         return NoiseMechanism("symmetric", base, base, epsilon, sensitivity)

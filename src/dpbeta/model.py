@@ -72,18 +72,26 @@ def _as_alpha(alpha) -> np.ndarray:
 _Q_MAX = 2**16
 
 
-def _check_q(q) -> int:
-    """q as an int in 2.._Q_MAX.  A bool or a non-integral value such as 2.5
-    is rejected rather than truncated."""
+def _integer(value, name: str, least=None) -> int:
+    """value as an int, at least ``least`` if that is given.  A bool or a
+    non-integral value such as 1.9 is rejected rather than truncated."""
     try:
-        ok = not isinstance(q, (bool, np.bool_)) and q == int(q) and q >= 2
+        ok = not isinstance(value, (bool, np.bool_)) and value == int(value)
+        ok = ok and (least is None or value >= least)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ValueError(f"q must be an integer >= 2, got {q!r}.")
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}.")
+    return int(value)
+
+
+def _check_q(q) -> int:
+    """q as an int in 2.._Q_MAX (see ``_integer``)."""
+    q = _integer(q, "q", 2)
     if q > _Q_MAX:
         raise ValueError(f"q must be at most {_Q_MAX}, got {q}.")
-    return int(q)
+    return q
 
 
 @dataclass
@@ -288,9 +296,11 @@ def _sample_degrees(alpha, q: int, seed=None) -> np.ndarray:
         first, last = np.searchsorted(starts, (lo, lo + w.size - 1), side="right") - 1
         runs = np.maximum(starts[first : last + 1] - lo, 0)
         rows[first : last + 1] += np.add.reduceat(w, runs, dtype=np.int64)
-        # float weights: bincount converts small-integer ones several times
-        # slower than astype does
-        cols += np.bincount(j, w.astype(float), n)
+        # not bincount: it copies an index it cannot write to, such as the
+        # cached read-only columns, on every call; add.at reads it in place.
+        # Float weights: add.at casting small integers to the sum's dtype
+        # inside the loop is many times slower than astype.
+        np.add.at(cols, j, w.astype(float))
     return rows + cols.astype(np.int64)
 
 

@@ -672,6 +672,64 @@ class TestExitCodes:
         assert main(["fit", "--input", str(rel), f"--tol={tol}", "--out", str(fitp)]) == 1
         assert not fitp.exists()
 
+    @pytest.mark.parametrize(
+        "command, eps",
+        [
+            ("release", "nan"),
+            ("release", "inf"),
+            ("pipeline", "nan"),
+            ("pipeline", "inf"),
+            ("dpcheck", "nan"),
+            ("simulate", "fixed:nan"),
+            ("simulate", "fixed:inf"),
+            ("rate", "fixed:nan"),
+        ],
+    )
+    def test_non_finite_epsilon_is_usage_error(
+        self, tmp_path, zebra_path, capsys, command, eps
+    ):
+        argv = {
+            "release": ["--input", str(zebra_path), "--q", "3", "--out", str(tmp_path / "o")],
+            "pipeline": ["--input", str(zebra_path), "--q", "3",
+                         "--out-prefix", str(tmp_path / "o")],
+            "dpcheck": [],
+            "simulate": ["--n", "20", "--q", "3", "--reps", "1", "--out", str(tmp_path / "o")],
+            "rate": ["--n-list", "20", "--q", "3", "--reps", "1", "--out", str(tmp_path / "o")],
+        }[command]
+        assert main([command, *argv, "--eps", eps]) == 1
+        err = capsys.readouterr().err
+        assert "epsilon must be finite" in err and "lam and mu" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, source",
+        [(c, s) for c in ("simulate", "rate") for s in ("flag", "config", "env")]
+        + [(c, s) for c in ("generate", "pipeline") for s in ("flag", "env")],
+    )
+    def test_negative_seed_is_usage_error(
+        self, tmp_path, zebra_path, capsys, monkeypatch, command, source
+    ):
+        argv = {
+            "simulate": ["--n", "20", "--q", "3", "--reps", "1", "--out", str(tmp_path / "o")],
+            "rate": ["--n-list", "20", "--q", "3", "--reps", "1", "--out", str(tmp_path / "o")],
+            "generate": ["--n", "5", "--q", "3", "--out", str(tmp_path / "o")],
+            "pipeline": ["--input", str(zebra_path), "--q", "3", "--eps", "1",
+                         "--out-prefix", str(tmp_path / "o")],
+        }[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"seed": -1}')
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("DPBETA_SEED", "-1")
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert "must be an integer >= 0, got -1" in err
+        assert ("DPBETA_SEED" if source == "env" else "seed must") in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "o_release.json").exists()
+
     def test_malformed_edge_list_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1 1\n")

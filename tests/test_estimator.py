@@ -17,7 +17,7 @@ from dpbeta.estimator import (
 )
 from dpbeta.mechanisms import calibrate, sample_noise
 from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
-from dpbeta.experiments import truth_profile
+from dpbeta.experiments import _replicate, _study_setup, child_seed, truth_profile
 
 import oracles
 
@@ -234,6 +234,37 @@ class TestDegreeClasses:
         fit = solve(d_bar, 3)
         assert fit.converged and fit.iterations > 1
         assert len(calls) == fit.iterations + 1
+
+    def test_boundary_degrees_converge_without_halved_diagonal_steps(self):
+        # (5, 4, 5, 2) lies on a facet of the degree polytope (nodes 1 and 3
+        # against node 4: 10 - 2 = 2*2*(4-1-1)), so no finite root exists and
+        # the bisection oracle finds none; Newton still meets tol far out.
+        # Diagonal steps put under the halving line search ended this solve
+        # as diverged instead.
+        d_bar = np.array([5.0, 4.0, 5.0, 2.0])
+        fit = solve(d_bar, 3)
+        assert fit.converged
+        e_d = oracles.expected_degrees_by_summation(fit.alpha_hat, 3)
+        assert np.max(np.abs(e_d - d_bar)) < 1e-9
+        assert fit.alpha_hat[0] == fit.alpha_hat[2]
+
+    def test_diagonal_steps_spare_linear_solves(self, monkeypatch):
+        # one study replication at n = 1000, q = 3, L = sqrt(log n): two
+        # diagonal steps from the one-class start leave four LU solves, not
+        # six, and each kept diagonal step counts as an iteration
+        alpha_star, mechanism = _study_setup("sqrtlog", "fixed:2", 1000)
+        calls = []
+        lu = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(1)
+            return lu(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        fit = _replicate(alpha_star, 3, mechanism, child_seed(0, 1000, 0))
+        assert fit.converged
+        assert len(calls) <= 4
+        assert fit.iterations == len(calls) + 2
 
     def test_v_hat_diag_is_jacobian_diagonal(self):
         # the class-level variances equal the node-level Jacobian diagonal

@@ -45,6 +45,13 @@ class TestSchedules:
         with pytest.raises(ValueError):
             epsilon_schedule("fixed:-1", 100)
 
+    @pytest.mark.parametrize("mode", ["fixed:nan", "fixed:inf", "fixed:-inf"])
+    def test_epsilon_rejects_non_finite(self, mode):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            epsilon_schedule(mode, 100)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            ExperimentSpec(n=10, q=2, eps_mode=mode)
+
     def test_profile_scale(self):
         assert profile_scale("zero", 100) == 0.0
         assert profile_scale("loglog", 100) == pytest.approx(
@@ -110,6 +117,10 @@ class TestSpecValidation:
         # rejected, not truncated: pair (1.9, 2) must not track (1, 2)
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ExperimentSpec(**({"n": 10, "q": 2} | kwargs))
+
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed must be an integer >= 0"):
+            ExperimentSpec(n=10, q=2, master_seed=-1)
 
     def test_integral_float_entries_are_stored_as_int(self):
         spec = ExperimentSpec(n=10.0, q=2, reps=3.0, pairs=((1.0, 2),), master_seed=4.0)
@@ -258,6 +269,28 @@ class TestRateStudy:
         for reps in (0, -3):
             with pytest.raises(ValueError, match="reps must be >= 1"):
                 rate_study([20], 3, reps=reps)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"reps": True}, "reps must be an integer"),
+            ({"reps": 2.5}, "reps must be an integer"),
+            ({"n_list": [50.5]}, "n_list entry must be an integer"),
+            ({"master_seed": -1}, "master_seed must be an integer >= 0"),
+            ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ],
+        ids=["reps-true", "reps-2.5", "n-50.5", "seed-neg", "seed-1.5"],
+    )
+    def test_rejects_bad_inputs_up_front(self, kwargs, message):
+        # each one was accepted and returned as given, or failed deep
+        # inside the loop with a message that did not name it
+        with pytest.raises(ValueError, match=message):
+            rate_study(**({"n_list": [50], "q": 3} | kwargs))
+
+    def test_integral_float_entries_are_stored_as_int(self):
+        (row,) = rate_study([20.0], 3, reps=1.0, master_seed=4.0)
+        assert (row.n, row.reps) == (20, 1)
+        assert all(isinstance(v, int) for v in (row.n, row.reps))
 
 
 class TestReproducibility:

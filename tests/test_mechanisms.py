@@ -55,6 +55,20 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate(-1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e4])
+    def test_non_finite_or_underflowing_epsilon(self, eps):
+        # named up front, not as lam = exp(-eps/2) falling outside (0, 1)
+        with pytest.raises(CalibrationError, match="epsilon"):
+            calibrate(eps)
+
+    @pytest.mark.parametrize("sensitivity", [2.7, True, "2"])
+    def test_sensitivity_is_not_truncated(self, sensitivity):
+        # 2.7 must not calibrate with 2, which is less noise than asked for
+        with pytest.raises(ValueError, match="sensitivity must be an integer >= 1"):
+            calibrate(2.0, sensitivity=sensitivity)
+        with pytest.raises(ValueError, match="sensitivity must be an integer >= 1"):
+            NoiseMechanism("symmetric", 0.5, 0.5, 1.0, sensitivity=sensitivity)
+
     def test_mechanism_invariant_enforced(self):
         with pytest.raises(ValueError):
             NoiseMechanism("symmetric", 0.5, 0.5, epsilon=1.0, sensitivity=2)

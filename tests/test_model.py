@@ -307,6 +307,19 @@ class TestSampleDegrees:
             after.random(pairs)
             assert rng.random() == after.random()
 
+    def test_warm_call_does_not_copy_the_cached_columns(self):
+        # n = 1000, q = 3 at a cached truth: the uniforms (8 bytes a pair)
+        # and the weights, not a copy of the read-only column index (8 more)
+        alpha = truth_profile(1000, math.sqrt(math.log(1000)))
+        model._sample_degrees(alpha, 3, seed=1)
+        tracemalloc.start()
+        try:
+            model._sample_degrees(alpha, 3, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * (1000 * 999 // 2)
+
     def test_rejects_what_sample_graph_rejects(self):
         for alpha, q in (([0.3], 3), ([0.0, np.nan], 3), ([0.0, 0.0], 1)):
             with pytest.raises(ValueError) as graph_error:
