@@ -15,12 +15,15 @@ exact grammar:
 * Node ids lie in 1..3037000499 (the largest n with n*n in int64), so the
   row-major key i*n + j of every pair fits in int64.
 
-The whole file is read at once and checked with array operations; a fault
-is reported with the number of the first faulty line, counting comment and
-blank lines.  Node ids are 1-based in files and messages but 0-based inside
-the package, where a graph is the same list of pairs
-(``model.WeightedGraph``), so reading, pruning and writing all take time
-and memory linear in the size of the file.
+The file is read at once and checked with array operations in blocks of
+``_BLOCK_LINES`` lines, so each block's arrays fit in cache; the scan stops
+at the first faulty block, and repeated pairs are looked for last, among
+the rows before the first fault.  A fault is reported with the number of
+the first faulty line, counting comment and blank lines.  Beyond the edge
+arrays, memory is a few buffers the size of the file.  Node ids are 1-based
+in files and messages but 0-based inside the package, where a graph is the
+same list of pairs (``model.WeightedGraph``), so reading, pruning and
+writing all take time and memory linear in the size of the file.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import WeightedGraph, _check_q
+from .model import WeightedGraph, _check_q, _row_major
 
 _ID_MAX = math.isqrt(np.iinfo(np.int64).max)  # 3037000499
 _DIGITS = 18  # longer fields are out of range: above any id and any weight < q
+_BLOCK_LINES = 2**13  # lines checked at a time, so a block's arrays stay in cache
 
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[list(b"0123456789")] = np.arange(10)
@@ -65,17 +69,20 @@ class EdgeListError(DataError):
 
 
 def _read_text(path: Union[str, Path]) -> bytes:
-    """The file's bytes with every line ending made LF, checked to be UTF-8."""
+    """The file's bytes with every line ending made LF, checked to be UTF-8,
+    between two more LFs: then the k-th LF opens line k and the last one
+    ends the last line."""
     data = Path(path).read_bytes()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EdgeListError(
-            "not UTF-8 text.", line=data.count(b"\n", 0, exc.start) + 1
-        ) from None
-    return data
+    if not data.isascii():  # ASCII is UTF-8, and decoding copies the file
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EdgeListError(
+                "not UTF-8 text.", line=data.count(b"\n", 0, exc.start) + 1
+            ) from None
+    return b"\n".join((b"", data, b""))
 
 
 def _integers(buf, lo, hi):
@@ -94,7 +101,8 @@ def _integers(buf, lo, hi):
     pos -= 1  # the last digit
     for k in range(min(size, _DIGITS)):
         np.maximum(pos, lo, out=pos)
-        value += (_DIGIT_VALUE * 10**k)[buf[pos]]
+        # np.take: indexing the table with a uint8 array is several times slower
+        value += np.take(_DIGIT_VALUE * 10**k, np.take(buf, pos))
         pos -= 1
     if size > _DIGITS:  # some field still has digits left of pos
         nonzero = np.cumsum(buf > ord("0"))
@@ -123,16 +131,18 @@ class _FirstFault:
 
 
 def _line_text(buf, newline, k) -> str:
-    """Line k + 1 of the file, stripped."""
+    """Line k + 1 of the LF-framed lines in buf, stripped."""
     return buf[newline[k] + 1 : newline[k + 1]].tobytes().decode("utf-8").strip()
 
 
 def _data_rows(buf, newline):
-    """Split the file into fields and read the data rows.
+    """Split LF-framed lines into fields and read the data rows.
 
-    Returns the 0-based line of each data row, the fields of each row that
-    comes before the first faulty one as three int64 vectors (i, j, w), and
-    the first row with the wrong field count or a non-integer field.
+    ``newline`` holds the position of every LF in ``buf``, which starts and
+    ends with one.  Returns the 0-based line of each data row, the fields of
+    each row that comes before the first faulty one as three int64 vectors
+    (i, j, w), and the first row with the wrong field count or a non-integer
+    field.
     """
     solid = ~_is_space(buf)
     bounds = np.flatnonzero(solid[1:] != solid[:-1])
@@ -162,6 +172,29 @@ def _data_rows(buf, newline):
     first = first[line[: fault.stop]]
     values = [_integers(buf, start[first + c], end[first + c]) for c in range(3)]
     return line, values, fault
+
+
+def _checked_rows(buf, newline, q):
+    """``_data_rows`` followed by the range checks of each row's values."""
+    line, (i, j, w), fault = _data_rows(buf, newline)
+
+    def number(r, c):
+        return int(_line_text(buf, newline, line[r]).split()[c])
+
+    fault.check((i < 1) | (j < 1), lambda r: "node ids are 1-based.")
+    fault.check(
+        (i > _ID_MAX) | (j > _ID_MAX),
+        lambda r: f"node id {max(number(r, 0), number(r, 1))} "
+        f"exceeds the largest supported id {_ID_MAX}.",
+    )
+    fault.check(i == j, lambda r: f"self-loop on node {number(r, 0)}.")
+    fault.check(
+        w < 1,
+        lambda r: "weight must be >= 1 (omit zero-weight pairs), "
+        f"got {number(r, 2)}.",
+    )
+    fault.check(w > q - 1, lambda r: f"weight {number(r, 2)} >= q = {q}.")
+    return line, (i, j, w), fault
 
 
 def parse_edge_list(
@@ -194,43 +227,52 @@ def parse_edge_list(
     q = _check_q(q)
     if n is not None and n > _ID_MAX:
         raise ValueError(f"n={n} exceeds the largest supported node count {_ID_MAX}.")
-    # a leading LF makes newline[k] the start of line k + 1; a trailing one
-    # ends the last line
-    buf = np.frombuffer(b"\n" + _read_text(path) + b"\n", dtype=np.uint8)
+    buf = np.frombuffer(_read_text(path), dtype=np.uint8)
     newline = np.flatnonzero(buf == ord("\n"))
-    line, (i, j, w), fault = _data_rows(buf, newline)
+    lines = newline.size - 1
+    # the kept rows' 0-based lines and endpoints, with lo < hi
+    line, lo, hi, w = (np.empty(lines, dtype=np.int64) for _ in range(4))
+    rows, fault = 0, None
+    for a in range(0, lines, _BLOCK_LINES):
+        b = min(a + _BLOCK_LINES, lines)
+        block_line, (bi, bj, bw), block_fault = _checked_rows(
+            buf[newline[a] : newline[b] + 1], newline[a : b + 1] - newline[a], q
+        )
+        stop = block_fault.stop
+        kept = slice(rows, rows + stop)
+        line[kept] = block_line[:stop] + a
+        lo[kept] = np.minimum(bi[:stop], bj[:stop]) - 1
+        hi[kept] = np.maximum(bi[:stop], bj[:stop]) - 1
+        w[kept] = bw[:stop]
+        rows = kept.stop
+        if block_fault.message is not None:
+            fault = EdgeListError(
+                block_fault.message, line=a + int(block_line[stop]) + 1
+            )
+            break
+    del buf, newline  # the file-sized buffers are not needed past this point
+    line, lo, hi, w = line[:rows], lo[:rows], hi[:rows], w[:rows]
 
-    def number(r, c):
-        return int(_line_text(buf, newline, line[r]).split()[c])
-
-    fault.check((i < 1) | (j < 1), lambda r: "node ids are 1-based.")
-    fault.check(
-        (i > _ID_MAX) | (j > _ID_MAX),
-        lambda r: f"node id {max(number(r, 0), number(r, 1))} "
-        f"exceeds the largest supported id {_ID_MAX}.",
-    )
-    fault.check(i == j, lambda r: f"self-loop on node {number(r, 0)}.")
-    fault.check(
-        w < 1,
-        lambda r: "weight must be >= 1 (omit zero-weight pairs), "
-        f"got {number(r, 2)}.",
-    )
-    fault.check(w > q - 1, lambda r: f"weight {number(r, 2)} >= q = {q}.")
-
-    # 0-based endpoints with i < j, sorted by the row-major key; the stable
-    # sort keeps repeats of a pair in file order, so a repeat is a later line
-    stop = fault.stop
-    lo = np.minimum(i[:stop], j[:stop]) - 1
-    hi = np.maximum(i[:stop], j[:stop]) - 1
+    # repeated pairs are looked for among the rows before the first faulty
+    # line, so a repeat is on an earlier line and is the fault to report;
+    # rows in strictly increasing row-major order hold none
     max_id = int(hi.max(initial=-1)) + 1
-    key = lo * max_id + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeat = np.zeros(stop, dtype=bool)
-    repeat[order[1:][key[1:] == key[:-1]]] = True
-    fault.check(repeat, lambda r: f"duplicate pair {lo[r] + 1} {hi[r] + 1}.")
-    if fault.message is not None:
-        raise EdgeListError(fault.message, line=int(line[fault.stop]) + 1)
+    if not _row_major(lo, hi):
+        # the stable sort keeps repeats of a pair in file order, so a repeat
+        # is a later line
+        key = lo * max_id + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeat = order[1:][key[1:] == key[:-1]]
+        del key
+        if repeat.size:
+            r = int(repeat.min())
+            raise EdgeListError(
+                f"duplicate pair {lo[r] + 1} {hi[r] + 1}.", line=int(line[r]) + 1
+            )
+        lo, hi, w = lo[order], hi[order], w[order]
+    if fault is not None:
+        raise fault
 
     if n is None:
         if max_id < 2:
@@ -240,7 +282,7 @@ def parse_edge_list(
         n = max_id
     elif max_id > n:
         raise EdgeListError(f"node id {max_id} exceeds declared n={n}.")
-    return WeightedGraph(n, q, lo[order], hi[order], w[:stop][order])
+    return WeightedGraph(n, q, lo, hi, w)
 
 
 def write_edge_list(graph: WeightedGraph, path: Union[str, Path]) -> None:

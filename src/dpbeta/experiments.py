@@ -47,7 +47,11 @@ def epsilon_schedule(eps_mode: str, n: int) -> float:
     if n < 3:
         raise ValueError("n must be >= 3.")
     if eps_mode.startswith("fixed:"):
-        value = float(eps_mode.split(":", 1)[1])
+        text = eps_mode.split(":", 1)[1]
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"fixed epsilon must be a number, got {text!r}.") from None
         if not 0 < value < math.inf:
             raise ValueError(f"fixed epsilon must be finite and > 0, got {value}.")
         return value

@@ -94,6 +94,19 @@ def _check_q(q) -> int:
     return q
 
 
+def _row_major(i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the pairs (i[k], j[k]) strictly increase in row-major order.
+
+    Compares neighbours with byte masks only: for 0 <= j < n this is
+    i*n + j strictly increasing, without an int64 key per pair.
+    """
+    later = i[1:] > i[:-1]
+    tie = i[1:] == i[:-1]
+    tie &= j[1:] > j[:-1]
+    later |= tie
+    return bool(later.all())
+
+
 @dataclass
 class WeightedGraph:
     """The nonzero-weight pairs of a graph on n nodes, as three arrays.
@@ -136,7 +149,7 @@ class WeightedGraph:
             raise ValueError(f"pairs must satisfy 0 <= i < j < n = {self.n}.")
         if np.any(w < 1) or np.any(w > self.q - 1):
             raise ValueError(f"weights must lie in [1, {self.q - 1}].")
-        if np.any(np.diff(i * self.n + j) <= 0):
+        if not _row_major(i, j):
             raise ValueError("pairs must be distinct and in row-major order.")
         self.i, self.j, self.w = i, j, w
 

@@ -6,7 +6,8 @@ points (so they hold only for moderate pair sums, (q-1)|s| below ~700),
 noise moments from truncated series summation over the integer support,
 expected degrees from explicit pairwise summation of the scalar mean,
 Jacobians from central finite differences, and the moment equations are
-solved by cyclic coordinate bisection instead of Newton steps.
+solved by cyclic coordinate bisection instead of Newton steps.  Edge
+lists are parsed one line at a time with ``str.split`` and ``int``.
 """
 
 from __future__ import annotations
@@ -131,3 +132,64 @@ def gauss_seidel_bisect(
         if delta < tol:
             return alpha
     return None
+
+
+_ID_MAX = 3037000499  # the largest n with n*n in int64
+_TO_SPACE = str.maketrans(dict.fromkeys("\t\n\v\f\r\x1c\x1d\x1e\x1f", " "))
+
+
+def _is_integer(field: str) -> bool:
+    digits = field[1:] if field[0] in "+-" else field
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_edge_list_by_lines(data: bytes, q: int, n=None):
+    """The edge-list grammar of ``dpbeta.edgelist``, read line by line.
+
+    Returns ``(n, i, j, w)`` with 0-based int64 pairs in row-major order, or
+    ``(line, message)`` for the first fault (line None for a fault of the
+    whole file), with the message ``EdgeListError`` would carry.
+    """
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for k, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return k, "not UTF-8 text."
+    pairs = {}
+    for k, raw in enumerate(lines, start=1):
+        text = raw.decode("utf-8")
+        fields = [f for f in text.translate(_TO_SPACE).split(" ") if f]
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 3:
+            return k, f"expected 'i j w', got {text.strip()!r}."
+        if not all(map(_is_integer, fields)):
+            return k, f"non-integer field in {text.strip()!r}."
+        a, b, w = map(int, fields)
+        if a < 1 or b < 1:
+            return k, "node ids are 1-based."
+        if max(a, b) > _ID_MAX:
+            return k, f"node id {max(a, b)} exceeds the largest supported id {_ID_MAX}."
+        if a == b:
+            return k, f"self-loop on node {a}."
+        if w < 1:
+            return k, f"weight must be >= 1 (omit zero-weight pairs), got {w}."
+        if w > q - 1:
+            return k, f"weight {w} >= q = {q}."
+        pair = (min(a, b), max(a, b))
+        if pair in pairs:
+            return k, f"duplicate pair {pair[0]} {pair[1]}."
+        pairs[pair] = w
+    max_id = max((b for _, b in pairs), default=0)
+    if n is None:
+        if max_id < 2:
+            return None, "cannot infer node count from an empty edge list; pass n."
+        n = max_id
+    elif max_id > n:
+        return None, f"node id {max_id} exceeds declared n={n}."
+    ordered = sorted(pairs)
+    i = np.array([a - 1 for a, _ in ordered], dtype=np.int64)
+    j = np.array([b - 1 for _, b in ordered], dtype=np.int64)
+    w = np.array([pairs[p] for p in ordered], dtype=np.int64)
+    return n, i, j, w

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpbeta
+from dpbeta import edgelist
 from dpbeta.cli import main, pipeline_fit
 from dpbeta.edgelist import (
     DataError,
@@ -23,6 +24,7 @@ from dpbeta.edgelist import (
 from dpbeta.estimator import solve
 from dpbeta.model import WeightedGraph, sample_graph
 
+import oracles
 from conftest import REPO_ROOT, dense
 
 
@@ -194,6 +196,148 @@ class TestParseEdgeList:
         write_edge_list(g, p)
         g2 = parse_edge_list(p, q=3, n=12)
         np.testing.assert_array_equal(dense(g), dense(g2))
+
+
+def _outcome(path, q, n=None):
+    """The parsed graph as lists, or the error's line and message."""
+    try:
+        g = parse_edge_list(path, q, n)
+    except EdgeListError as err:
+        return err.line, str(err)
+    return g.n, g.i.tolist(), g.j.tolist(), g.w.tolist()
+
+
+def _expected(data, q, n=None):
+    """What parse_edge_list should give for the bytes, by the line-by-line
+    reference parser, in the form of ``_outcome``."""
+    result = oracles.parse_edge_list_by_lines(data, q, n)
+    if len(result) == 2:
+        line, message = result
+        return line, message if line is None else f"line {line}: {message}"
+    n, i, j, w = result
+    return n, i.tolist(), j.tolist(), w.tolist()
+
+
+_FAULTS = [
+    b"1 2", b"1 2 1 4", b"1 x 2", b"1 2 1.0", b"1 2+1 1", b"+ 1 2", b"1 2 1 # x",
+    b"-1 2 1", b"0 2 1", b"3 3 1", b"1 2 0", b"1 2 -1", b"1 2 9",
+    b"1 3037000500 1", b"1 99999999999999999999 1", b"1 2 1000000000000000001",
+    b"1 2 \xff", b"\xc3", b"1 2 1\xc2\xa0", b"1 2 \xc2\xbd",  # no-break space, one half
+]
+_FILLERS = [b"", b"   ", b"\t", b"# c", b"  #1 2 3", b"#", b"\x0c"]
+_SPACES = [b" ", b"  ", b"\t", b"\x0b", b"\x1f", b" \t "]
+
+
+def _random_edge_list(rng, n, q, lines, fault_rate):
+    """Random edge-list bytes: the pairs of a graph on n nodes in random
+    order and orientation, some fields signed, with comments, blank lines,
+    mixed line endings and, at about fault_rate per line, a faulty line
+    (a bad token, a range fault or a repeated pair)."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    used, rows = [], []
+    for _ in range(lines):
+        u = rng.random()
+        if u < fault_rate:
+            if used and rng.random() < 0.3:
+                a, b, w = used[rng.integers(len(used))]
+                row = b"%d %d %d" % ((b, a, w) if rng.random() < 0.5 else (a, b, w))
+            else:
+                row = _FAULTS[rng.integers(len(_FAULTS))]
+        elif u < 0.25 or not pairs:
+            row = _FILLERS[rng.integers(len(_FILLERS))]
+        else:
+            a, b = pairs.pop()
+            if rng.random() < 0.5:
+                a, b = b, a
+            w = int(rng.integers(1, q))
+            used.append((a, b, w))
+            fields = [b"%s%d" % (rng.choice([b"", b"", b"+"]), v) for v in (a, b, w)]
+            sep = [_SPACES[rng.integers(len(_SPACES))] for _ in range(4)]
+            row = sep[1].join(fields[:2]) + sep[2] + fields[2]
+            row = sep[0][: rng.integers(2)] + row + sep[3][: rng.integers(2)]
+        rows.append(row + [b"\n", b"\r\n", b"\r"][rng.integers(3)])
+    data = b"".join(rows)
+    return data[: -1 if data.endswith(b"\n") and rng.random() < 0.3 else None]
+
+
+class TestParseBlocks:
+    """Checking a file in blocks of lines gives what one block gives."""
+
+    FILES = [
+        b"2 3 1\n2 1 2\n",
+        b"# comment\n1 5 1\n",
+        b"# nothing\n",
+        b"",
+        b"1 2 1\n2 x 1\n",
+        b"1 2 1\n2 1 1\n",
+        b"# c\n\n  \n1 2 1\n3 3 1\n",
+        b"1 2 1 4\n2 3 1\n",
+        b"1 2 1\r1 1 1\n",
+        b"1 2 1\n# \xff\n",
+        b"1 2 1\n1 3037000500 1\n",
+        b"\t1\t2 1  \r\n  2   4\t2\r1  3 2 \t",
+        b"1 2 1\n2 4 2\n1 3 2\n",
+        b"1 3037000499 1\n",
+        b"1 2 1\n3 4 1\n2 1 1\n4 5 1\n6 6 1\n",
+        b"1 2 1\n3 4 1\n4 5 1\n2 1 1\n6 6 1\n",
+        b"\n\n\n\n\n2 1 1\n\n\n\n1 2 1\n",
+    ]
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("data", FILES)
+    def test_block_boundaries_do_not_matter(self, tmp_path, monkeypatch, data, block):
+        p = tmp_path / "g.txt"
+        p.write_bytes(data)
+        whole = _outcome(p, q=3)
+        monkeypatch.setattr(edgelist, "_BLOCK_LINES", block)
+        assert _outcome(p, q=3) == whole == _expected(data, q=3)
+
+    def test_repeats_found_across_blocks(self, tmp_path, monkeypatch):
+        # 9000 distinct pairs, then each again as "j i w": the first repeat,
+        # line 9001, lies in a later block than the line it repeats
+        rng = np.random.default_rng(5)
+        pairs = [(i, j) for i in range(1, 140) for j in range(i + 1, 140)][:9000]
+        once, twice = rng.permutation(len(pairs)), rng.permutation(len(pairs))
+        data = "".join(
+            [f"{pairs[k][0]} {pairs[k][1]} 1\n" for k in once]
+            + [f"{pairs[k][1]} {pairs[k][0]} 1\n" for k in twice]
+        ).encode()
+        p = tmp_path / "g.txt"
+        p.write_bytes(data)
+        i, j = pairs[twice[0]]
+        for block in (3, 2**13):
+            monkeypatch.setattr(edgelist, "_BLOCK_LINES", block)
+            assert _outcome(p, q=2) == (9001, f"line 9001: duplicate pair {i} {j}.")
+
+    def test_matches_line_by_line_reference(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        p = tmp_path / "g.txt"
+        for _ in range(150):
+            n, q = int(rng.integers(2, 13)), int(rng.integers(2, 5))
+            data = _random_edge_list(
+                rng, n, q, int(rng.integers(0, 40)), rng.choice([0.0, 0.02, 0.1])
+            )
+            p.write_bytes(data)
+            declared = [None, n, max(n - 1, 2)][rng.integers(3)]
+            expected = _expected(data, q, declared)
+            for block in (1, 2, 3, 5, 2**13):
+                monkeypatch.setattr(edgelist, "_BLOCK_LINES", block)
+                assert _outcome(p, q, declared) == expected, (data, block)
+
+    def test_parse_memory_per_line(self, tmp_path):
+        g = sample_graph(np.zeros(550), 3, seed=8)  # ~100k pairs
+        p = tmp_path / "g.txt"
+        write_edge_list(g, p)
+        lines = g.w.size + 1
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(p, q=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.w.size == g.w.size > 90_000
+        assert peak / lines < 80
 
 
 class TestZebraFixture:
@@ -699,6 +843,20 @@ class TestExitCodes:
         assert main([command, *argv, "--eps", eps]) == 1
         err = capsys.readouterr().err
         assert "epsilon must be finite" in err and "lam and mu" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "qq", "rate"])
+    def test_non_numeric_fixed_epsilon_is_usage_error(self, tmp_path, capsys, command):
+        argv = {
+            "simulate": ["--n", "20", "--q", "3", "--reps", "1"],
+            "qq": ["--n", "20", "--q", "3", "--reps", "1", "--pair", "1:2"],
+            "rate": ["--n-list", "20", "--q", "3", "--reps", "1"],
+        }[command]
+        out = tmp_path / "o"
+        assert main([command, *argv, "--eps", "fixed:abc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "fixed epsilon must be a number, got 'abc'" in err
+        assert "could not convert" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -52,6 +52,13 @@ class TestSchedules:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             ExperimentSpec(n=10, q=2, eps_mode=mode)
 
+    @pytest.mark.parametrize("mode", ["fixed:abc", "fixed:", "fixed:2x"])
+    def test_epsilon_rejects_non_numbers(self, mode):
+        text = mode.removeprefix("fixed:")
+        message = f"fixed epsilon must be a number, got '{text}'"
+        with pytest.raises(ValueError, match=message):
+            epsilon_schedule(mode, 100)
+
     def test_profile_scale(self):
         assert profile_scale("zero", 100) == 0.0
         assert profile_scale("loglog", 100) == pytest.approx(

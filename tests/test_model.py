@@ -527,6 +527,35 @@ class TestWeightedGraphValidation:
         with pytest.raises(ValueError):
             WeightedGraph(3, 2, i, j, [1, 1])
 
+    def test_order_check_matches_row_major_keys(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            i, j = np.triu_indices(n, 1)
+            pick = rng.integers(0, i.size, size=rng.integers(0, 6))
+            if rng.random() < 0.5:
+                pick.sort()
+            i, j = i[pick], j[pick]
+            ordered = bool(np.all(np.diff(i * n + j) > 0))
+            try:
+                WeightedGraph(n, 2, i, j, np.ones_like(i))
+                accepted = True
+            except ValueError as err:
+                assert "row-major order" in str(err)
+                accepted = False
+            assert accepted == ordered, (n, i, j)
+
+    def test_construction_memory_per_pair(self):
+        i, j = np.triu_indices(1000, 1)  # ~500k pairs
+        w = np.ones_like(i)
+        tracemalloc.start()
+        try:
+            WeightedGraph(1000, 2, i, j, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / i.size < 6
+
     @pytest.mark.parametrize(
         "n, i, j, w",
         [
