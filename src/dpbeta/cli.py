@@ -24,15 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .edgelist import (
-    DataError,
-    EdgeListError,
-    parse_edge_list,
-    prune_isolated,
-    write_edge_list,
-)
+from .edgelist import DataError, parse_edge_list, prune_isolated, write_edge_list
 from .estimator import FitResult, _z, node_intervals, solve
 from .experiments import (
+    L_MODES,
     QQ_MIN_VALUES,
     ExperimentSpec,
     qq_points,
@@ -41,7 +36,6 @@ from .experiments import (
     truth_profile,
 )
 from .mechanisms import (
-    CalibrationError,
     DegreeRelease,
     calibrate,
     release_degrees,
@@ -56,10 +50,6 @@ EXIT_DATA = 2
 EXIT_NONEXISTENT = 3
 
 SEED_ENV_VAR = "DPBETA_SEED"
-
-
-class UsageError(Exception):
-    """Bad flag values or flag combinations."""
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +180,7 @@ def _parse_alpha_list(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",") if v != ""])
     except ValueError:
-        raise UsageError(f"cannot parse alpha list {text!r}.") from None
+        raise ValueError(f"cannot parse alpha list {text!r}.") from None
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -198,22 +188,21 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     for item in text.split(","):
         bits = item.split(":")
         if len(bits) != 2:
-            raise UsageError(f"pair {item!r} must look like i:j.")
+            raise ValueError(f"pair {item!r} must look like i:j.")
         try:
             pairs.append((int(bits[0]), int(bits[1])))
         except ValueError:
-            raise UsageError(f"pair {item!r} must be integers.") from None
+            raise ValueError(f"pair {item!r} must be integers.") from None
     return tuple(pairs)
 
 
-def _whole(value, name: str) -> int:
-    """A count from a flag or a config file as an int; a bool, a string or a
-    non-integral number is a usage error rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise UsageError(f"{name} must be an integer, got {value!r}.")
-    return int(value)
+def _int_or_text(text: str):
+    """text as an int if ``int`` reads it, else the text itself, for
+    ``_integer`` to reject by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _seed(args) -> int:
@@ -227,7 +216,7 @@ def _seed(args) -> int:
     try:
         seed = int(env)
     except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer.") from None
+        raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer.") from None
     return _integer(seed, SEED_ENV_VAR, 0)
 
 
@@ -240,9 +229,9 @@ def _study_args(args, **defaults) -> None:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise EdgeListError(f"config file {args.config}: {exc}") from None
+            raise DataError(f"config file {args.config}: {exc}") from None
         if not isinstance(config, dict):
-            raise EdgeListError(f"config file {args.config} must hold a JSON object.")
+            raise DataError(f"config file {args.config} must hold a JSON object.")
     defaults = {"q": None, "L": "zero", "eps": "fixed:2", "seed": None} | defaults
     for name, default in defaults.items():
         value = getattr(args, name)
@@ -251,13 +240,13 @@ def _study_args(args, **defaults) -> None:
         setattr(args, name, default if value is None else value)
     for name in ("n", "q", "reps", "seed"):
         if getattr(args, name, None) is not None:
-            setattr(args, name, _whole(getattr(args, name), name))
+            setattr(args, name, _integer(getattr(args, name), name))
     args.L, args.eps, args.seed = str(args.L), str(args.eps), _seed(args)
 
 
 def _experiment_spec(args, pairs) -> ExperimentSpec:
     if args.n is None or args.q is None:
-        raise UsageError("--n and --q are required (flag or config).")
+        raise ValueError("--n and --q are required (flag or config).")
     return ExperimentSpec(
         n=args.n,
         q=args.q,
@@ -305,13 +294,13 @@ def _cmd_generate(args) -> int:
     args.seed = _seed(args)
     if args.alpha is not None:
         if args.L is not None:
-            raise UsageError("--alpha and --L are mutually exclusive.")
+            raise ValueError("--alpha and --L are mutually exclusive.")
         alpha = _parse_alpha_list(args.alpha)
         if args.n is not None and args.n != alpha.shape[0]:
-            raise UsageError("--n disagrees with the length of --alpha.")
+            raise ValueError("--n disagrees with the length of --alpha.")
     else:
         if args.n is None:
-            raise UsageError("--n is required unless --alpha is given.")
+            raise ValueError("--n is required unless --alpha is given.")
         scale = args.L if args.L is not None else 0.0
         alpha = truth_profile(args.n, scale)
     graph = sample_graph(alpha, args.q, args.seed)
@@ -342,13 +331,13 @@ def _cmd_fit(args) -> int:
     try:
         payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise EdgeListError(f"release file {args.input}: {exc}") from None
+        raise DataError(f"release file {args.input}: {exc}") from None
     if not isinstance(payload, dict) or "d_bar" not in payload:
-        raise EdgeListError(f"release file {args.input} lacks a d_bar field.")
+        raise DataError(f"release file {args.input} lacks a d_bar field.")
     if args.q is None:
         args.q = payload.get("q")
         if args.q is None:
-            raise EdgeListError("release file lacks q; pass --q.")
+            raise DataError("release file lacks q; pass --q.")
         try:
             if not isinstance(args.q, int):  # a release writes q as an integer
                 raise ValueError(f"q must be an integer >= 2, got {args.q!r}.")
@@ -425,7 +414,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_qq(args) -> int:
     pair = _parse_pairs(args.pair)
     if len(pair) != 1:
-        raise UsageError("--pair takes exactly one i:j pair.")
+        raise ValueError("--pair takes exactly one i:j pair.")
     _study_args(args, n=None, reps=10_000, level=0.95)
     spec = _experiment_spec(args, pair)
     result = run_experiment(spec)
@@ -452,14 +441,14 @@ def _cmd_rate(args) -> int:
     _study_args(args, n_list=None, reps=300)
     n_list = args.n_list
     if isinstance(n_list, str):
-        n_list = [int(v) for v in n_list.split(",")]
+        n_list = [_int_or_text(v) for v in n_list.split(",")]
     if not n_list:
-        raise UsageError("--n-list is required.")
+        raise ValueError("--n-list is required.")
     if not isinstance(n_list, list):
-        raise UsageError(f"n_list must be a list of sizes, got {n_list!r}.")
-    args.n_list = [_whole(v, "n_list entry") for v in n_list]
+        raise ValueError(f"n_list must be a list of sizes, got {n_list!r}.")
+    args.n_list = [_integer(v, "n_list entry") for v in n_list]
     if args.q is None:
-        raise UsageError("--q is required.")
+        raise ValueError("--q is required.")
     rows = rate_study(
         args.n_list, args.q, args.L, args.eps, reps=args.reps, master_seed=args.seed
     )
@@ -552,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags every study shares; an unset one comes from --config
     study = argparse.ArgumentParser(add_help=False)
     study.add_argument("--q", type=int)
-    study.add_argument("--L", choices=["zero", "loglog", "sqrtlog"])
+    study.add_argument("--L", choices=L_MODES)
     study.add_argument("--eps", help="fixed:<v>, logn_over_n14 or logn_over_n12")
     study.add_argument("--reps", type=int)
     study.add_argument("--seed", type=int)
@@ -602,16 +591,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (UsageError, CalibrationError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         _note(f"data error: {exc}")
         return EXIT_DATA
-    except OSError as exc:
-        _note(f"data error: {exc}")
-        return EXIT_DATA
-    except ValueError as exc:
+    except ValueError as exc:  # CalibrationError included
         _note(f"error: {exc}")
         return EXIT_USAGE
 

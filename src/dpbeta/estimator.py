@@ -42,10 +42,10 @@ from .model import (
     _check_q,
     _class_jacobian,
     _classes,
+    _integer,
     _moments,
     _node_sums,
     degree_jacobian,
-    expected_degrees,
 )
 
 STATUS_CONVERGED = "converged"
@@ -61,18 +61,6 @@ _MIN_STEP = 2.0**-40
 _DIAGONAL_STEPS = 2
 # Largest n ``inverse_approximation`` inverts densely.
 _DENSE_INVERSE_CAP = 2000
-
-
-def residual(alpha, d_bar, q: int) -> np.ndarray:
-    """Moment-equation residual d_bar - E(d) at the given parameters."""
-    a = _as_alpha(alpha)
-    d_bar = np.asarray(d_bar, dtype=float)
-    if d_bar.shape != a.shape:
-        raise ValueError(
-            f"length mismatch: alpha has {a.shape[0]} entries, "
-            f"d_bar has {d_bar.shape[0]}."
-        )
-    return d_bar - expected_degrees(a, q)
 
 
 @dataclass
@@ -134,7 +122,8 @@ def solve(
     tol:
         Convergence threshold on the sup norm of the residual, 0 < tol < inf.
     max_iter:
-        Iteration budget, diagonal and Newton steps together.
+        Iteration budget, diagonal and Newton steps together; an integer
+        >= 0.
 
     Notes
     -----
@@ -162,7 +151,7 @@ def solve(
     Noisy degrees outside the open interval (0, (n-1)(q-1)) make the
     equations unsolvable, which is reported without iterating.
     """
-    q = _check_q(q)
+    q, max_iter = _check_q(q), _integer(max_iter, "max_iter", 0)
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
         raise ValueError("d_bar must be a vector of length >= 2.")
@@ -290,19 +279,6 @@ def _diverged(n, q, tol, iterations, fnorm) -> FitResult:
     )
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile for p in (0, 1).
-
-    Wichura's AS241 algorithm from the standard library, good to about 1e-16
-    relative; ``scipy.special.ndtri`` agrees to 2e-15 but its import adds
-    about 60 ms and 4 MB to every process.
-    """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1).")
-    return NormalDist().inv_cdf(p)
-
-
 # ---------------------------------------------------------------------------
 # confidence intervals
 # ---------------------------------------------------------------------------
@@ -341,7 +317,10 @@ def _z(level: float) -> float:
     """The two-sided normal critical value of a level in (0, 1)."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly in (0, 1).")
-    return normal_quantile(1.0 - (1.0 - level) / 2.0)
+    # Wichura's AS241 from the standard library, good to about 1e-16
+    # relative: scipy's ndtri agrees to 2e-15 but its import adds about
+    # 60 ms and 4 MB to every process.
+    return NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
 
 
 def contrast_ci(fit: FitResult, i, j, level: float = 0.95) -> ConfidenceInterval:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import FitResult, contrast_ci, normal_quantile, solve
+from .estimator import FitResult, contrast_ci, solve
 from .mechanisms import calibrate, sample_noise
 from .model import _check_q, _integer, _sample_degrees
 
@@ -241,7 +242,7 @@ QQ_MIN_VALUES = 30
 
 
 def qq_points(
-    result: ExperimentResult, pair: tuple[int, int], min_count: int = QQ_MIN_VALUES
+    result: ExperimentResult, pair: tuple[int, int]
 ) -> list[tuple[float, float]]:
     """Normal QQ pairing of the standardized contrasts for one tracked pair.
 
@@ -250,11 +251,10 @@ def qq_points(
     """
     xi = sorted(result.pair_summary(pair).xi)
     m = len(xi)
-    if m < min_count:
-        raise ValueError(f"need at least {min_count} values, have {m}.")
-    return [
-        (normal_quantile((k - 0.5) / m), float(x)) for k, x in enumerate(xi, start=1)
-    ]
+    if m < QQ_MIN_VALUES:
+        raise ValueError(f"need at least {QQ_MIN_VALUES} values, have {m}.")
+    quantile = NormalDist().inv_cdf
+    return [(quantile((k - 0.5) / m), float(x)) for k, x in enumerate(xi, start=1)]
 
 
 @dataclass

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _integer
+from .model import _integer, _integer_array
 
 DEGREE_SENSITIVITY = 2
 
@@ -266,9 +266,9 @@ class DegreeRelease:
     q: Optional[int] = None
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=np.int64)
-        self.e = np.asarray(self.e, dtype=np.int64)
-        self.d_bar = np.asarray(self.d_bar, dtype=np.int64)
+        self.d, self.e, self.d_bar = (
+            _integer_array(getattr(self, k), k) for k in ("d", "e", "d_bar")
+        )
         if not (self.d.shape == self.e.shape == self.d_bar.shape):
             raise ValueError("d, e and d_bar must have equal length.")
         if not np.array_equal(self.d_bar, self.d + self.e):
@@ -306,7 +306,8 @@ def release_degrees(
     Parameters
     ----------
     d:
-        True degree sequence (integer array-like).
+        True degree sequence (integer array-like); a non-integral or
+        non-finite entry raises ValueError rather than being truncated.
     mechanism:
         Calibrated noise mechanism; with sensitivity 2 the release is
         epsilon-edge differentially private by construction.
@@ -316,7 +317,7 @@ def release_degrees(
         Weight-class count of the generating graph, recorded for downstream
         fitting.
     """
-    d = np.asarray(d, dtype=np.int64)
+    d = _integer_array(d, "d")
     e = sample_noise(mechanism, d.shape[0], seed)
     stored_seed = seed if isinstance(seed, int) else None
     return DegreeRelease(
@@ -334,7 +335,7 @@ def worst_case_log_ratio(mechanism: NoiseMechanism, window: int = 50) -> float:
     |output|, so a finite window that extends past the shift is enough.
     """
     delta = mechanism.sensitivity
-    window = int(window)
+    window = _integer(window, "window")
     if window < delta + 1:
         raise ValueError(f"window must be >= sensitivity + 1 = {delta + 1}.")
 

@@ -86,6 +86,19 @@ def _integer(value, name: str, least=None) -> int:
     return int(value)
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """values as a one-dimensional int64 array.  A non-integral, non-finite
+    or out-of-range entry is rejected rather than truncated."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be a one-dimensional vector.")
+    if not np.issubdtype(a.dtype, np.integer) and not (
+        np.all(np.abs(a) < 2.0**63) and np.all(a % 1 == 0)
+    ):
+        raise ValueError(f"{name} must hold integers.")
+    return a.astype(np.int64, copy=False)
+
+
 def _check_q(q) -> int:
     """q as an int in 2.._Q_MAX (see ``_integer``)."""
     q = _integer(q, "q", 2)
@@ -134,15 +147,7 @@ class WeightedGraph:
         if self.n != int(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}.")
         self.n, self.q = int(self.n), _check_q(self.q)
-        arrays = []
-        for name in ("i", "j", "w"):
-            a = np.asarray(getattr(self, name))
-            if a.ndim != 1:
-                raise ValueError(f"{name} must be a one-dimensional vector.")
-            if not np.issubdtype(a.dtype, np.integer) and not np.all(a == np.round(a)):
-                raise ValueError(f"{name} must hold integers.")
-            arrays.append(a.astype(np.int64, copy=False))
-        i, j, w = arrays
+        i, j, w = (_integer_array(getattr(self, k), k) for k in ("i", "j", "w"))
         if not i.shape == j.shape == w.shape:
             raise ValueError("i, j and w must have the same length.")
         if np.any(i < 0) or np.any(j <= i) or np.any(j >= self.n):

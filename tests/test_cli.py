@@ -806,6 +806,89 @@ class TestExitCodes:
         assert f"{name} must be an integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "argv, files, env, line",
+        [
+            (["generate", "--alpha", "0,x", "--q", "2"], {}, None,
+             "error: cannot parse alpha list '0,x'."),
+            (["generate", "--alpha", "0,0", "--L", "1", "--q", "2"], {}, None,
+             "error: --alpha and --L are mutually exclusive."),
+            (["generate", "--alpha", "0,0", "--n", "3", "--q", "2"], {}, None,
+             "error: --n disagrees with the length of --alpha."),
+            (["generate", "--q", "2"], {}, None,
+             "error: --n is required unless --alpha is given."),
+            (["generate", "--n", "5", "--q", "2"], {}, "x",
+             "error: DPBETA_SEED='x' is not an integer."),
+            (["simulate", "--n", "20", "--q", "3", "--pairs", "1-2"], {}, None,
+             "error: pair '1-2' must look like i:j."),
+            (["simulate", "--n", "20", "--q", "3", "--pairs", "a:2"], {}, None,
+             "error: pair 'a:2' must be integers."),
+            (["simulate", "--q", "3"], {}, None,
+             "error: --n and --q are required (flag or config)."),
+            (["qq", "--n", "20", "--q", "3", "--pair", "1:2,3:4"], {}, None,
+             "error: --pair takes exactly one i:j pair."),
+            (["rate", "--q", "3"], {}, None, "error: --n-list is required."),
+            (["rate", "--config", "{cfg}"], {"cfg": '{"n_list": 5}'}, None,
+             "error: n_list must be a list of sizes, got 5."),
+            (["rate", "--n-list", "20"], {}, None, "error: --q is required."),
+            # JSON faults in a config or release file: data errors
+            (["simulate", "--config", "{cfg}"], {"cfg": "{x"}, None,
+             "data error: config file {cfg}: Expecting property name enclosed "
+             "in double quotes: line 1 column 2 (char 1)"),
+            (["simulate", "--config", "{cfg}"], {"cfg": "[1]"}, None,
+             "data error: config file {cfg} must hold a JSON object."),
+            (["fit", "--input", "{rel}"], {"rel": "{x"}, None,
+             "data error: release file {rel}: Expecting property name enclosed "
+             "in double quotes: line 1 column 2 (char 1)"),
+            (["fit", "--input", "{rel}"], {"rel": "[1]"}, None,
+             "data error: release file {rel} lacks a d_bar field."),
+            (["fit", "--input", "{rel}"], {"rel": '{"d_bar": [1, 2]}'}, None,
+             "data error: release file lacks q; pass --q."),
+        ],
+        ids=[
+            "alpha-list", "alpha-and-L", "n-and-alpha", "no-n-or-alpha", "seed-env",
+            "pair-shape", "pair-integers", "no-n", "qq-pairs", "no-n-list",
+            "n-list-type", "rate-no-q", "config-json", "config-object",
+            "release-json", "release-d_bar", "release-q",
+        ],
+    )
+    def test_fault_is_one_stderr_line_and_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, argv, files, env, line
+    ):
+        paths = {name: str(tmp_path / f"{name}.json") for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_text(text)
+        if env is None:
+            monkeypatch.delenv("DPBETA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DPBETA_SEED", env)
+        argv = [a.format_map(paths) for a in argv] + ["--out", str(tmp_path / "o")]
+        code = 2 if line.startswith("data error") else 1
+        assert main(argv) == code
+        assert capsys.readouterr().err == line.format_map(paths) + "\n"
+        assert sorted(map(str, tmp_path.iterdir())) == sorted(paths.values())
+
+    @pytest.mark.parametrize("n_list", ["100,abc", "100,,200", "2.5"])
+    def test_unreadable_rate_size_is_named(self, tmp_path, capsys, n_list):
+        out = tmp_path / "rate.csv"
+        assert main(["rate", "--n-list", n_list, "--q", "3", "--out", str(out)]) == 1
+        bad = next(v for v in n_list.split(",") if not v.isdigit())
+        assert capsys.readouterr().err == (
+            f"error: n_list entry must be an integer, got {bad!r}.\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_max_iter_is_usage_error(self, tmp_path, capsys):
+        # -1 is no budget: the fit is not run, rather than reported diverged
+        rel = tmp_path / "rel.json"
+        rel.write_text('{"q": 3, "d_bar": [3, 4, 5, 4]}')
+        fitp = tmp_path / "fit.json"
+        argv = ["fit", "--input", str(rel), "--max-iter", "-1", "--out", str(fitp)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: max_iter must be an integer >= 0, got -1.\n"
+        assert list(tmp_path.iterdir()) == [rel]
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tolerance_is_rejected(self, tmp_path, tol):
         with pytest.raises(ValueError, match="tol"):

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dpbeta import estimator, model
-from dpbeta.estimator import (
-    contrast_ci,
-    inverse_approximation,
-    node_intervals,
-    normal_quantile,
-    residual,
-    solve,
-)
+from dpbeta.estimator import contrast_ci, inverse_approximation, node_intervals, solve
 from dpbeta.mechanisms import calibrate, sample_noise
 from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
 from dpbeta.experiments import _replicate, _study_setup, child_seed, truth_profile
@@ -23,25 +16,29 @@ import oracles
 
 
 class TestResidual:
+    """The moment-equation residual d_bar - E(d) vanishes at the root."""
+
     def test_zero_at_symmetric_point_q2(self):
         n = 5  # odd n keeps (n-1)/2 integral
         d_bar = np.full(n, (n - 1) / 2)
-        np.testing.assert_allclose(residual(np.zeros(n), d_bar, 2), 0.0, atol=1e-13)
+        np.testing.assert_allclose(
+            d_bar - expected_degrees(np.zeros(n), 2), 0.0, atol=1e-13
+        )
 
     def test_zero_at_symmetric_point_q3(self):
         n = 6
         d_bar = np.full(n, n - 1.0)
-        np.testing.assert_allclose(residual(np.zeros(n), d_bar, 3), 0.0, atol=1e-13)
+        np.testing.assert_allclose(
+            d_bar - expected_degrees(np.zeros(n), 3), 0.0, atol=1e-13
+        )
 
     def test_definitional(self):
+        # the solver's root is a root of the public degree map
         rng = np.random.default_rng(21)
-        alpha = rng.uniform(-1, 1, 8)
-        d_bar = expected_degrees(alpha, 3)
-        assert np.max(np.abs(residual(alpha, d_bar, 3))) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            residual(np.zeros(3), np.zeros(4), 2)
+        d_bar = expected_degrees(rng.uniform(-1, 1, 8), 3)
+        fit = solve(d_bar, 3)
+        assert fit.converged
+        assert np.max(np.abs(d_bar - expected_degrees(fit.alpha_hat, 3))) < 1e-10
 
 
 class TestSolve:
@@ -76,7 +73,8 @@ class TestSolve:
             d = g.degrees()
             fit = solve(d, q)
             if fit.converged:
-                assert np.max(np.abs(residual(fit.alpha_hat, d, q))) <= fit.tolerance
+                residual = d - expected_degrees(fit.alpha_hat, q)
+                assert np.max(np.abs(residual)) <= fit.tolerance
                 assert np.all(fit.v_hat_diag > 0)
 
     def test_infeasible_low_degree(self):
@@ -118,6 +116,18 @@ class TestSolve:
         fit = solve(d_bar, 3, max_iter=1)
         assert fit.status == "nonexistent_diverged"
         assert fit.iterations == 1
+
+    def test_zero_max_iter_is_a_budget(self):
+        assert solve([1, 1, 1], 2, max_iter=0).converged  # the start is the root
+        fit = solve([8, 8, 8, 4, 8, 6], 3, max_iter=0)
+        assert fit.status == "nonexistent_diverged" and fit.iterations == 0
+
+    @pytest.mark.parametrize("max_iter", [-1, True, 2.5, None, "3"])
+    def test_bad_max_iter_is_rejected(self, max_iter):
+        # rejected, not run: -1 must not report "diverged" after no step,
+        # nor True run as 1 or 2.5 as 3
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            solve([3, 4, 5, 4], 3, max_iter=max_iter)
 
     def test_permutation_equivariance(self):
         n, q = 7, 3
@@ -301,15 +311,15 @@ class TestNormalQuantile:
                 np.linspace(0.01, 0.99, 37),
             ]
         )
-        for p in ps:
-            assert normal_quantile(float(p)) == pytest.approx(
-                norm.ppf(p), abs=1e-8
+        for level in ps:
+            assert estimator._z(float(level)) == pytest.approx(
+                norm.ppf(1.0 - (1.0 - level) / 2.0), abs=1e-8
             )
 
     def test_rejects_boundary(self):
-        for p in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                normal_quantile(p)
+        for level in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="level"):
+                estimator._z(level)
 
 
 class TestIntervals:
@@ -336,7 +346,7 @@ class TestIntervals:
         fit.v_hat_diag = v.copy()
         fit.v_hat_diag[0] = 1e12  # v_ii -> infinity: contrast SE -> 1/sqrt(v_jj)
         ci = contrast_ci(fit, 0, 1, 0.95)
-        expected = normal_quantile(0.975) / math.sqrt(fit.v_hat_diag[1])
+        expected = estimator._z(0.95) / math.sqrt(fit.v_hat_diag[1])
         assert ci.half_width == pytest.approx(expected, rel=1e-5)
         fit.v_hat_diag = v
 
@@ -345,7 +355,7 @@ class TestIntervals:
         assert se.shape == half.shape == (fit.n,)
         for i in range(fit.n):
             assert se[i] == pytest.approx(1 / math.sqrt(fit.v_hat_diag[i]), rel=1e-15)
-            assert half[i] == pytest.approx(normal_quantile(0.975) * se[i], rel=1e-15)
+            assert half[i] == pytest.approx(estimator._z(0.95) * se[i], rel=1e-15)
         with pytest.raises(ValueError):
             node_intervals(fit, 1.0)
 

@@ -245,10 +245,8 @@ class TestQQPoints:
     def test_order_statistic_positions(self):
         res = self._result_with_xi(list(np.linspace(-2, 2, 40)))
         pts = qq_points(res, (1, 2))
-        from dpbeta.estimator import normal_quantile
-
-        assert pts[0][0] == pytest.approx(normal_quantile(0.5 / 40), abs=1e-12)
-        assert pts[-1][0] == pytest.approx(normal_quantile(39.5 / 40), abs=1e-12)
+        assert pts[0][0] == pytest.approx(stats.norm.ppf(0.5 / 40), abs=1e-12)
+        assert pts[-1][0] == pytest.approx(stats.norm.ppf(39.5 / 40), abs=1e-12)
 
     def test_unknown_pair(self):
         res = self._result_with_xi([0.0] * 30)

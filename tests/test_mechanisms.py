@@ -276,6 +276,20 @@ class TestReleaseDegrees:
         assert debug["d"] == [4, 4, 4]
         assert debug["d_bar"] == [d + e for d, e in zip(debug["d"], debug["e"])]
 
+    @pytest.mark.parametrize("d", [[1.5, 2.7, 3.9], [1, np.nan, 2], [1, np.inf, 2]])
+    def test_non_integral_degrees_rejected(self, d):
+        # rejected, not truncated: [1.5, 2.7, 3.9] must not be released as [1, 2, 3]
+        with pytest.raises(ValueError, match="^d must hold integers"):
+            release_degrees(d, calibrate(30.0), seed=1)
+
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["d", "e", "d_bar"])
+    def test_non_integral_release_field_rejected(self, name, bad):
+        vectors = {"d": [3.0, 4.0], "e": [0.0, 1.0], "d_bar": [3.0, 5.0]}
+        vectors[name][0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must hold integers"):
+            DegreeRelease(**vectors, mechanism=calibrate(1.0))
+
     def test_mismatched_vectors_rejected(self):
         mech = calibrate(1.0)
         with pytest.raises(ValueError):
@@ -318,8 +332,13 @@ class TestWorstCaseLogRatio:
                     assert np.max(d1[:, None] + d2[None, :]) <= eps + 1e-12
 
     def test_window_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"window must be >= sensitivity \+ 1"):
             worst_case_log_ratio(calibrate(1.0), 2)
+
+    def test_non_integral_window_rejected(self):
+        # rejected, not truncated: a window of 3.7 must not run as 3
+        with pytest.raises(ValueError, match="window must be an integer, got 3.7"):
+            worst_case_log_ratio(calibrate(1.0), window=3.7)
 
     def test_skew_bounded_by_epsilon(self):
         mech = calibrate(2.0, kind="skew", skew_ratio=2.0)

@@ -571,6 +571,13 @@ class TestWeightedGraphValidation:
         with pytest.raises(ValueError):
             WeightedGraph(n, 3, i, j, w)
 
+    @pytest.mark.parametrize("name", ["i", "j", "w"])
+    def test_non_finite_entry_is_not_an_integer(self, name):
+        arrays = {"i": [0.0], "j": [1.0], "w": [1.0]}
+        arrays[name] = [np.inf]
+        with pytest.raises(ValueError, match=f"^{name} must hold integers"):
+            WeightedGraph(3, 3, **arrays)
+
     def test_degrees_are_row_sums(self):
         g = sample_graph(np.zeros(5), 3, seed=9)
         np.testing.assert_array_equal(g.degrees(), dense(g).sum(axis=1))
