@@ -22,10 +22,10 @@ Per-node precision comes from the plug-in diagonal of the Jacobian at the
 solution, the variances of the last pass, which backs normal-approximation
 confidence intervals for single parameters and for contrasts.
 
-An estimate can fail to exist: either some noisy degree falls outside the
-open attainable range (detected before iterating) or the iteration fails to
-find a root (no root, singular system, or iteration budget exhausted).
-Both outcomes are reported as data, not raised.
+A root exists iff the noisy degrees lie inside the polytope (q-1) D_n of
+expected degree sequences (Rinaldo, Petrovic & Fienberg 2013), which is
+decided before iterating; an iteration that fails (singular system or
+budget spent) had a root to find.  Both are reported as data, not raised.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ STATUS_CONVERGED = "converged"
 STATUS_INFEASIBLE = "nonexistent_infeasible_degree"
 STATUS_DIVERGED = "nonexistent_diverged"
 
-# Bound on the sup norm of one raw Newton step: keeps distant starting points
-# from overshooting into regions where the Jacobian degenerates.
-_STEP_CAP = 5.0
 _MIN_STEP = 2.0**-40
 # Diagonal (fixed-point) steps tried before the first Newton step; two
 # close most of the distance from the one-class start at n = 1000.
@@ -67,10 +64,11 @@ _DENSE_INVERSE_CAP = 2000
 class FitResult:
     """Outcome of one solve of the moment equations.
 
-    ``status`` is one of "converged", "nonexistent_infeasible_degree" (some
-    noisy degree outside the open range (0, (n-1)(q-1)); nothing was
-    iterated) or "nonexistent_diverged" (no root found numerically).  The
-    estimate and plug-in variances are present only when converged.
+    ``status`` is one of "converged", "nonexistent_infeasible_degree" (no
+    root: the nodes in ``infeasible_nodes`` break the polytope, see
+    ``solve``; nothing was iterated) or "nonexistent_diverged" (budget spent
+    or singular system).  The estimate and plug-in variances are present
+    only when converged.
     """
 
     status: str
@@ -89,15 +87,8 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "status": self.status,
-            "n": self.n,
-            "q": self.q,
-            "tolerance": self.tolerance,
-            "iterations": self.iterations,
-            "alpha_hat": None if self.alpha_hat is None else self.alpha_hat.tolist(),
-            "residual_inf": self.residual_inf,
-            "v_hat_diag": None if self.v_hat_diag is None else self.v_hat_diag.tolist(),
-            "infeasible_nodes": list(self.infeasible_nodes),
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(self).items()
         }
 
     def to_json(self) -> str:
@@ -148,8 +139,10 @@ def solve(
     the variances of the pass already made, and each kept one counts in
     ``iterations`` and against ``max_iter``.
 
-    Noisy degrees outside the open interval (0, (n-1)(q-1)) make the
-    equations unsolvable, which is reported without iterating.
+    Noisy degrees outside the open polytope (q-1) D_n have no root, which
+    is reported without iterating.  ``infeasible_nodes`` then lists the
+    nodes outside (0, (n-1)(q-1)) if there are any, else the nodes S u T of
+    the broken inequality (see ``_outside_polytope``) with the fewest nodes.
     """
     q, max_iter = _check_q(q), _integer(max_iter, "max_iter", 0)
     d_bar = np.asarray(d_bar, dtype=float)
@@ -160,22 +153,21 @@ def solve(
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must satisfy 0 < tol < inf.")
     n = d_bar.shape[0]
-    dmax = (n - 1) * (q - 1)
-
-    bad = np.where((d_bar <= 0) | (d_bar >= dmax))[0]
-    if bad.size:
+    d_class, node_class, counts = np.unique(
+        d_bar, return_inverse=True, return_counts=True
+    )
+    broken = _outside_polytope(d_class, counts, node_class, q)
+    if broken.size:
+        outside = np.flatnonzero((d_bar <= 0) | (d_bar >= (n - 1) * (q - 1)))
         return FitResult(
             status=STATUS_INFEASIBLE,
             n=n,
             q=q,
             tolerance=tol,
             iterations=0,
-            infeasible_nodes=bad.tolist(),
+            infeasible_nodes=(outside if outside.size else broken).tolist(),
         )
 
-    d_class, node_class, counts = np.unique(
-        d_bar, return_inverse=True, return_counts=True
-    )
     cls = _classes(counts)
     beta = _one_class_roots(d_class, n, q)
 
@@ -189,9 +181,6 @@ def solve(
     f, fnorm, var = evaluate(beta)
     iterations = 0
 
-    # Diagonal steps (see Notes).  One is never shortened: put under the
-    # halving below, they ended boundary degrees such as (5, 4, 5, 2) at
-    # q = 3 as diverged.
     for _ in range(_DIAGONAL_STEPS):
         if fnorm <= tol or iterations >= max_iter:
             break
@@ -212,9 +201,6 @@ def solve(
             return _diverged(n, q, tol, iterations, fnorm)
         if not np.all(np.isfinite(delta)):
             return _diverged(n, q, tol, iterations, fnorm)
-        dnorm = float(np.max(np.abs(delta)))
-        if dnorm > _STEP_CAP:
-            delta = delta * (_STEP_CAP / dnorm)
 
         step = 1.0
         accepted = False
@@ -243,6 +229,29 @@ def solve(
         residual_inf=fnorm,
         v_hat_diag=_node_sums(cls, var)[node_class],
     )
+
+
+def _outside_polytope(d, counts, node_class, q: int) -> np.ndarray:
+    """The nodes S u T of the fewest-node broken inequality of the open
+    polytope (q-1) D_n (Stanley 1991), or an empty array if none breaks:
+    sum_S d - sum_T d < (q-1) |S| (n-1-|T|), S and T disjoint, not both
+    empty.  d, counts and node_class are ``np.unique``'s.  For each |S| the
+    tightest has S the top nodes and T the others below (q-1) |S|, so
+    S = the top j classes, T = the bottom i[j], j = 0..K, decide; T is not
+    empty when S is.  At n = 2 this gives the relative interior: tied
+    degrees in (0, q-1).  In float, as (q-1) n^2 can overflow int64."""
+    k, m = d.shape[0], float(q - 1)
+    size = np.concatenate(([0], np.cumsum(counts)))  # nodes in bottom classes
+    mass = np.concatenate(([0.0], np.cumsum(counts * d)))  # and their degrees
+    s, top = size[-1] - size[::-1], mass[-1] - mass[::-1]  # the same, top
+    i = np.minimum(np.searchsorted(d, m * s), k - np.arange(k + 1))
+    i[0] = max(i[0], 1)
+    slack = m * s * (size[-1] - 1 - size[i]) - top + mass[i]
+    broken = np.flatnonzero(slack <= 0)
+    if broken.size:
+        j = broken[np.argmin((s + size[i])[broken])]
+        broken = np.flatnonzero((node_class >= k - j) | (node_class < i[j]))
+    return broken
 
 
 def _one_class_roots(d: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -16,7 +16,7 @@ replications are order-independent and results are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -118,16 +118,7 @@ class ExperimentSpec:
                 raise ValueError(f"pair ({i},{j}) outside 1..{self.n}.")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "l_mode": self.l_mode,
-            "eps_mode": self.eps_mode,
-            "reps": self.reps,
-            "level": self.level,
-            "pairs": [list(p) for p in self.pairs],
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 @dataclass

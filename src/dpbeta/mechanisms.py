@@ -90,6 +90,8 @@ def calibrate(
         Required for kind="skew"; must be > 0 and must not push the larger
         parameter to 1 or above.
     """
+    if isinstance(epsilon, (bool, np.bool_)):  # float(True) would calibrate eps = 1
+        raise CalibrationError(f"epsilon must be a number, got {epsilon!r}.")
     epsilon = float(epsilon)
     if not 0 < epsilon < math.inf:
         raise CalibrationError(f"epsilon must be finite and > 0, got {epsilon}.")
@@ -241,8 +243,7 @@ def sample_noise(mechanism: NoiseMechanism, size: int, seed=None) -> np.ndarray:
     geometric blocks are drawn in a fixed order so a fixed seed fixes the
     output.
     """
-    if size < 0:
-        raise ValueError("size must be >= 0.")
+    size = _integer(size, "size", 0)
     rng = np.random.default_rng(seed)
     g1 = rng.geometric(1.0 - mechanism.lam, size=size)
     g2 = rng.geometric(1.0 - mechanism.mu, size=size)

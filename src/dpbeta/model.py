@@ -144,9 +144,7 @@ class WeightedGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n}.")
-        self.n, self.q = int(self.n), _check_q(self.q)
+        self.n, self.q = _integer(self.n, "n", 2), _check_q(self.q)
         i, j, w = (_integer_array(getattr(self, k), k) for k in ("i", "j", "w"))
         if not i.shape == j.shape == w.shape:
             raise ValueError("i, j and w must have the same length.")

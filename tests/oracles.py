@@ -5,13 +5,15 @@ moments come from raw, unshifted exponentials summed over the q support
 points (so they hold only for moderate pair sums, (q-1)|s| below ~700),
 noise moments from truncated series summation over the integer support,
 expected degrees from explicit pairwise summation of the scalar mean,
-Jacobians from central finite differences, and the moment equations are
-solved by cyclic coordinate bisection instead of Newton steps.  Edge
+Jacobians from central finite differences, the moment equations are
+solved by cyclic coordinate bisection instead of Newton steps, and whether
+a root exists is read off every inequality of the degree polytope.  Edge
 lists are parsed one line at a time with ``str.split`` and ``int``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -132,6 +134,22 @@ def gauss_seidel_bisect(
         if delta < tol:
             return alpha
     return None
+
+
+def interior_by_enumeration(d_bar, q: int) -> bool:
+    """Whether d_bar lies in the interior of the polytope (q-1) D_n, by
+    checking sum_S d - sum_T d < (q-1) |S| (n-1-|T|) for every labelling of
+    the n nodes as in S, in T or in neither, S and T not both empty: 3^n
+    labellings, so keep n <= 7.  At n = 2 the polytope is a segment with no
+    interior, and this returns False for every d_bar.
+    """
+    d_bar = np.asarray(d_bar, dtype=float)
+    n = len(d_bar)
+    labels = np.array(list(itertools.product(range(3), repeat=n)))[1:]
+    in_s, in_t = labels == 1, labels == 2
+    s, t = in_s.sum(axis=1), in_t.sum(axis=1)
+    lhs = in_s @ d_bar - in_t @ d_bar
+    return bool(np.all(lhs < (q - 1) * s * (n - 1 - t)))
 
 
 _ID_MAX = 3037000499  # the largest n with n*n in int64

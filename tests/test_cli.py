@@ -429,15 +429,22 @@ class TestPruneIsolated:
 
 class TestPipelineFit:
     def test_negligible_noise_matches_noiseless_solve(self, tmp_path):
-        g = sample_graph(np.array([0.4, -0.2, 0.1, -0.3]), 3, seed=50)
-        assert g.degrees().min() > 0
-        p = tmp_path / "g.txt"
-        write_edge_list(g, p)
-        out = pipeline_fit(p, q=3, epsilon=100.0, seed=1)  # lambda = e^-50
-        assert out.fit.converged
-        np.testing.assert_array_equal(out.release.d_bar, g.degrees())
-        direct = solve(g.degrees(), 3)
-        np.testing.assert_allclose(out.fit.alpha_hat, direct.alpha_hat, atol=1e-12)
+        # seed 50 draws degrees (5, 4, 5, 2), on a facet of the degree
+        # polytope, so neither fit exists; seed 52 draws an interior graph
+        for seed, status in ((50, "nonexistent_infeasible_degree"), (52, "converged")):
+            g = sample_graph(np.array([0.4, -0.2, 0.1, -0.3]), 3, seed=seed)
+            assert g.degrees().min() > 0
+            p = tmp_path / f"g{seed}.txt"
+            write_edge_list(g, p)
+            out = pipeline_fit(p, q=3, epsilon=100.0, seed=1)  # lambda = e^-50
+            np.testing.assert_array_equal(out.release.d_bar, g.degrees())
+            direct = solve(g.degrees(), 3)
+            assert out.fit.status == direct.status == status
+            assert out.fit.infeasible_nodes == direct.infeasible_nodes
+            if direct.converged:
+                np.testing.assert_allclose(
+                    out.fit.alpha_hat, direct.alpha_hat, atol=1e-12
+                )
 
     def test_zebra_run_is_monotone(self, zebra_path):
         out = pipeline_fit(zebra_path, q=3, epsilon=1.0, seed=11)
@@ -778,6 +785,17 @@ class TestExitCodes:
         assert main(["fit", "--input", str(rel), "--out", str(fitp)]) == 2
         assert fragment in capsys.readouterr().err
         assert not fitp.exists()
+
+    def test_release_outside_polytope_names_its_vertices(self, tmp_path, capsys):
+        # every degree lies in (0, 6), but vertices 1 and 3 against vertex 4
+        # sit on a facet of the degree polytope: 10 - 2 = 2*2*(4-1-1)
+        rel, fitp = tmp_path / "rel.json", tmp_path / "fit.json"
+        rel.write_text('{"q": 3, "d_bar": [5, 4, 5, 2]}')
+        assert main(["fit", "--input", str(rel), "--out", str(fitp)]) == 3
+        assert "infeasible noisy degree at vertex 1, 3, 4." in capsys.readouterr().err
+        fit = json.loads(fitp.read_text())
+        assert fit["status"] == "nonexistent_infeasible_degree"
+        assert fit["iterations"] == 0 and fit["alpha_hat"] is None
 
     @pytest.mark.parametrize(
         "command, config, name",

@@ -101,13 +101,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             solve([bad, 2, 2, 2, 2], 2)
 
-    def test_genuinely_nonexistent_instance_diverges(self):
-        # strictly feasible coordinates, but no root: the oracle's bracket
-        # check agrees that no solution exists
+    def test_genuinely_nonexistent_instance_is_infeasible(self):
+        # strictly feasible coordinates, but outside the degree polytope:
+        # the top two nodes against the rest break 6 - 3 < 2 * (5-1-3), and
+        # the oracle's bracket check agrees that no solution exists
         d_bar = np.array([1, 1, 1, 3, 3])
         fit = solve(d_bar, 2)
-        assert fit.status == "nonexistent_diverged"
+        assert fit.status == "nonexistent_infeasible_degree"
+        assert fit.iterations == 0 and fit.infeasible_nodes == [0, 1, 2, 3, 4]
         assert oracles.gauss_seidel_bisect(d_bar, 2, max_sweeps=3000) is None
+
+    def test_real_degrees_outside_polytope_are_infeasible(self):
+        # 7.8 - 3.3 > 2 * (5-1-3): no root, though every degree is in (0, 4)
+        fit = solve([3.9, 3.9, 1.1, 1.1, 1.1], 2)
+        assert fit.status == "nonexistent_infeasible_degree"
+        assert fit.iterations == 0 and fit.infeasible_nodes == [0, 1, 2, 3, 4]
 
     def test_max_iter_exhaustion_reports_diverged(self):
         d_bar = np.array([8, 8, 8, 4, 8, 6])
@@ -181,6 +189,73 @@ def distinct_float_degrees(draw):
     return oracles.expected_degrees_by_summation(alpha, q), q
 
 
+@st.composite
+def alpha_profiles(draw):
+    """A parameter vector in [-3, 3]^n, n = 3..7, and q."""
+    n = draw(st.integers(3, 7))
+    q = draw(st.integers(2, 4))
+    cents = draw(st.lists(st.integers(-300, 300), min_size=n, max_size=n))
+    return np.array(cents) / 100.0, q
+
+
+@st.composite
+def small_integer_degrees(draw):
+    """Integer d_bar, n = 3..6, each entry in -1..(n-1)(q-1)+1."""
+    n = draw(st.integers(3, 6))
+    q = draw(st.integers(2, 4))
+    top = (n - 1) * (q - 1) + 1
+    return np.array(draw(st.lists(st.integers(-1, top), min_size=n, max_size=n))), q
+
+
+class TestExistence:
+    """A root exists iff d_bar lies inside the polytope (q-1) D_n, which
+    ``solve`` decides before iterating."""
+
+    @settings(max_examples=40)
+    @given(alpha_profiles())
+    def test_expected_degrees_converge(self, case):
+        alpha, q = case
+        fit = solve(oracles.expected_degrees_by_summation(alpha, q), q)
+        assert fit.converged
+        assert np.max(np.abs(fit.alpha_hat - alpha)) < 1e-6
+
+    @settings(max_examples=40)
+    @given(alpha_profiles(), st.data())
+    def test_degrees_moved_onto_or_past_an_inequality_are_infeasible(self, case, data):
+        alpha, q = case
+        n = alpha.shape[0]
+        # on a grid of 2**-10, where every sum and slack below is exact
+        d_bar = np.round(oracles.expected_degrees_by_summation(alpha, q) * 1024) / 1024
+        labels = np.array(
+            data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+        )
+        in_s, in_t = labels == 1, labels == 2
+        slack = (q - 1) * in_s.sum() * (n - 1 - in_t.sum()) - (
+            d_bar[in_s].sum() - d_bar[in_t].sum()
+        )
+        # spread a move of the nodes in S u T, up in S and down in T, that
+        # takes the slack to 0 or -past; one node takes the rounding
+        past = data.draw(st.sampled_from([0.0, 0.5, 4.0]))
+        move = max(slack, 0.0) + past
+        share = np.floor(move / np.count_nonzero(labels) * 1024) / 1024
+        step = np.where(labels > 0, share, 0.0)
+        step[np.flatnonzero(labels)[0]] += move - step.sum()
+        d_bar += np.where(in_t, -step, step)
+        fit = solve(d_bar, q)
+        assert fit.status == "nonexistent_infeasible_degree"
+        assert fit.iterations == 0 and fit.infeasible_nodes
+
+    @settings(max_examples=200)
+    @given(small_integer_degrees())
+    def test_verdict_matches_enumeration(self, case):
+        d_bar, q = case
+        fit = solve(d_bar, q)
+        assert fit.converged == oracles.interior_by_enumeration(d_bar, q)
+        if not fit.converged:
+            assert fit.status == "nonexistent_infeasible_degree"
+            assert fit.iterations == 0
+
+
 class TestDegreeClasses:
     """``solve`` works on the distinct noisy degrees, one parameter each."""
 
@@ -245,18 +320,17 @@ class TestDegreeClasses:
         assert fit.converged and fit.iterations > 1
         assert len(calls) == fit.iterations + 1
 
-    def test_boundary_degrees_converge_without_halved_diagonal_steps(self):
-        # (5, 4, 5, 2) lies on a facet of the degree polytope (nodes 1 and 3
-        # against node 4: 10 - 2 = 2*2*(4-1-1)), so no finite root exists and
-        # the bisection oracle finds none; Newton still meets tol far out.
-        # Diagonal steps put under the halving line search ended this solve
-        # as diverged instead.
+    def test_boundary_degrees_are_infeasible(self):
+        # (5, 4, 5, 2) lies on a facet of the degree polytope (nodes 0 and 2
+        # against node 3: 10 - 2 = 2*2*(4-1-1)), so no finite root exists,
+        # though Newton meets tol far out; the fewest-node broken inequality
+        # is named
         d_bar = np.array([5.0, 4.0, 5.0, 2.0])
+        assert not oracles.interior_by_enumeration(d_bar, 3)
         fit = solve(d_bar, 3)
-        assert fit.converged
-        e_d = oracles.expected_degrees_by_summation(fit.alpha_hat, 3)
-        assert np.max(np.abs(e_d - d_bar)) < 1e-9
-        assert fit.alpha_hat[0] == fit.alpha_hat[2]
+        assert fit.status == "nonexistent_infeasible_degree"
+        assert fit.iterations == 0 and fit.alpha_hat is None
+        assert fit.infeasible_nodes == [0, 2, 3]
 
     def test_diagonal_steps_spare_linear_solves(self, monkeypatch):
         # one study replication at n = 1000, q = 3, L = sqrt(log n): two

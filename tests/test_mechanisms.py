@@ -54,6 +54,9 @@ class TestCalibrate:
             calibrate(0.0)
         with pytest.raises(CalibrationError):
             calibrate(-1.0)
+        for flag in (True, np.True_):  # not calibrated as epsilon = 1
+            with pytest.raises(CalibrationError, match="epsilon must be a number"):
+                calibrate(flag)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e4])
     def test_non_finite_or_underflowing_epsilon(self, eps):
@@ -232,6 +235,11 @@ class TestSampleNoise:
             se_var = math.sqrt((kurt - var**2) / n)
             assert abs(draws.mean()) <= 3 * se_mean
             assert abs(draws.var() - var) <= 3 * se_var
+
+    @pytest.mark.parametrize("size", [2.5, True, None, "3", -1])
+    def test_bad_size_is_rejected(self, size):
+        with pytest.raises(ValueError, match="^size must be an integer >= 0, got "):
+            sample_noise(calibrate(1.0), size, seed=8)
 
     def test_deterministic(self):
         mech = calibrate(1.0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -570,6 +571,12 @@ class TestWeightedGraphValidation:
     def test_rejects_malformed_arrays(self, n, i, j, w):
         with pytest.raises(ValueError):
             WeightedGraph(n, 3, i, j, w)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, None, "5", True])
+    def test_bad_node_count_is_named(self, n):
+        message = f"n must be an integer >= 2, got {n!r}."
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeightedGraph(n, 3, [], [], [])
 
     @pytest.mark.parametrize("name", ["i", "j", "w"])
     def test_non_finite_entry_is_not_an_integer(self, name):
