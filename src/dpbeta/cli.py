@@ -263,16 +263,31 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _fit_exit_code(fit: FitResult, labels) -> int:
-    """EXIT_OK for a converged fit; otherwise say why the estimate does not
-    exist, naming vertices by labels[i], and return EXIT_NONEXISTENT."""
+def _fit_exit_code(fit: FitResult, labels, d_bar) -> int:
+    """EXIT_OK for a converged fit; otherwise say why there is no estimate,
+    naming vertices by labels[i], and return EXIT_NONEXISTENT.
+
+    ``infeasible_nodes`` holds either noisy degrees out of range on their
+    own or, when every degree is in range, the nodes of one polytope
+    inequality that they break together; the note says which."""
     if fit.converged:
         return EXIT_OK
     if fit.infeasible_nodes:
         names = ", ".join(str(labels[i]) for i in fit.infeasible_nodes)
-        _note(f"estimate does not exist: infeasible noisy degree at vertex {names}.")
+        first = d_bar[fit.infeasible_nodes[0]]
+        if 0 < first < (fit.n - 1) * (fit.q - 1):
+            _note(
+                f"estimate does not exist: the noisy degrees of vertices {names} "
+                "jointly lie outside the degree polytope, though each is in range."
+            )
+        else:
+            _note(f"estimate does not exist: infeasible noisy degree at vertex {names}.")
     else:
-        _note("estimate does not exist: iteration did not converge.")
+        _note(
+            "no estimate: the iteration did not converge within its budget, "
+            "though the noisy degrees lie inside the degree polytope, so an "
+            "estimate exists."
+        )
     return EXIT_NONEXISTENT
 
 
@@ -362,7 +377,7 @@ def _cmd_fit(args) -> int:
     out = Path(args.out)
     out.write_text(fit.to_json() + "\n", encoding="utf-8")
     write_manifest("fit", _params(args), [out], input_path=Path(args.input))
-    return _fit_exit_code(fit, range(1, fit.n + 1))
+    return _fit_exit_code(fit, range(1, fit.n + 1), d_bar)
 
 
 def _cmd_pipeline(args) -> int:
@@ -396,7 +411,7 @@ def _cmd_pipeline(args) -> int:
         outputs = [fit_path, scatter_path, release_path]
 
     write_manifest("pipeline", _params(args), outputs, input_path=Path(args.input))
-    return _fit_exit_code(out.fit, out.labels)
+    return _fit_exit_code(out.fit, out.labels, out.release.d_bar)
 
 
 def _cmd_simulate(args) -> int:

@@ -16,8 +16,7 @@ step's matrix.  For q = 2 and 3 the iteration starts from a closed-form
 one-class root per class; for larger q it starts from zero.  From there
 it first tries up to two diagonal steps f_a / v_aa, the fixed-point step
 of Chatterjee, Diaconis & Sly (2011), which V^-1 ~ diag(1 / v_ii) (Yan &
-Xu 2013) justifies: each costs one kernel pass and no linear solve, and
-closes most of the distance from a far start.
+Xu 2013) justifies: each costs one kernel pass and no linear solve.
 Per-node precision comes from the plug-in diagonal of the Jacobian at the
 solution, the variances of the last pass, which backs normal-approximation
 confidence intervals for single parameters and for contrasts.
@@ -26,6 +25,16 @@ A root exists iff the noisy degrees lie inside the polytope (q-1) D_n of
 expected degree sequences (Rinaldo, Petrovic & Fienberg 2013), which is
 decided before iterating; an iteration that fails (singular system or
 budget spent) had a root to find.  Both are reported as data, not raised.
+
+Many sequences of one length, such as the replications of a study, are
+solved together (``solve_many``): they iterate in lock-step rounds, and
+each round evaluates the points of all of them in one kernel pass over
+their classes laid side by side and stacks the LU solves of systems of
+equal size.  At n = 100 a sequence has some 40 classes, so a solve alone
+costs mostly numpy call overhead, which a round shares.  Every operation
+on the shared arrays works entry by entry or within one sequence's
+entries, so a sequence's result is bit-identical to solving it alone,
+whatever its batch-mates.  ``solve`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -38,14 +47,12 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    _as_alpha,
     _check_q,
     _class_jacobian,
     _classes,
     _integer,
     _moments,
     _node_sums,
-    degree_jacobian,
 )
 
 STATUS_CONVERGED = "converged"
@@ -53,11 +60,8 @@ STATUS_INFEASIBLE = "nonexistent_infeasible_degree"
 STATUS_DIVERGED = "nonexistent_diverged"
 
 _MIN_STEP = 2.0**-40
-# Diagonal (fixed-point) steps tried before the first Newton step; two
-# close most of the distance from the one-class start at n = 1000.
+# Diagonal (fixed-point) steps tried before the first Newton step.
 _DIAGONAL_STEPS = 2
-# Largest n ``inverse_approximation`` inverts densely.
-_DENSE_INVERSE_CAP = 2000
 
 
 @dataclass
@@ -133,102 +137,247 @@ def solve(
     (``_one_class_roots``), the solution if every node shared its class's
     noisy degree; for larger q it starts from zero.  Before the first
     Newton step at most two diagonal steps beta <- beta + f / v, with v
-    the class's ``v_hat_diag`` at the current point, are taken: a step is
-    kept only if its full length lowers the residual sup norm, and the
-    first one that does not ends them, without halving.  They need only
-    the variances of the pass already made, and each kept one counts in
+    the class's ``v_hat_diag`` at the current point, are taken: the
+    fixed-point step of Chatterjee, Diaconis & Sly (2011), which treats the
+    inverse Jacobian as diag(1 / v_ii) (Yan & Xu 2013).  A step is kept
+    only if its full length lowers the residual sup norm, and the first
+    one that does not ends them, without halving.  They need only the
+    variances of the pass already made, and each kept one counts in
     ``iterations`` and against ``max_iter``.
 
     Noisy degrees outside the open polytope (q-1) D_n have no root, which
     is reported without iterating.  ``infeasible_nodes`` then lists the
     nodes outside (0, (n-1)(q-1)) if there are any, else the nodes S u T of
     the broken inequality (see ``_outside_polytope``) with the fewest nodes.
+
+    This is ``solve_many`` on a batch of one sequence.  There, many
+    sequences take these steps in lock-step rounds that share each kernel
+    pass and stack equal-size LU solves; every operation works entry by
+    entry or within one sequence, so the fit returned here is the one the
+    same d_bar gets in any batch, to the last bit.
     """
-    q, max_iter = _check_q(q), _integer(max_iter, "max_iter", 0)
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
         raise ValueError("d_bar must be a vector of length >= 2.")
-    if not np.all(np.isfinite(d_bar)):
+    return solve_many(d_bar[None], q, tol, max_iter)[0]
+
+
+def solve_many(
+    D,
+    q: int,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> list[FitResult]:
+    """``solve`` for each row of D, a (B, n) array of noisy degree
+    sequences, iterated together; the fits come back in row order.
+
+    Each sequence takes the steps ``solve`` describes, and all of them move
+    in lock-step rounds.  In a round every sequence still iterating
+    proposes one point: a diagonal step, a Newton step (its LU solve
+    stacked with those of the other sequences with as many classes), or
+    the next halving of one.  The classes of all of them are laid out side
+    by side, pairs joining classes of one sequence only, so the round
+    evaluates every proposed point in one kernel pass and one bincount per
+    node sum, and takes each sequence's sup norm as the maximum over its
+    own classes.  A sequence that converges or fails leaves the layout.
+
+    A sequence's result does not depend on the others in its batch, to the
+    last bit: the kernel and its sums over weight classes work entry by
+    entry, a bincount adds a class's pairs in the order one sequence lays
+    them out, and a stacked LU solve factors each matrix as a single one
+    would.  Systems are never padded to a common size, which would change
+    the LU result.
+    """
+    q, max_iter = _check_q(q), _integer(max_iter, "max_iter", 0)
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[1] < 2:
+        raise ValueError("D must hold degree sequences of length >= 2 as rows.")
+    if not np.all(np.isfinite(D)):
         raise ValueError("d_bar must contain only finite values.")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must satisfy 0 < tol < inf.")
-    n = d_bar.shape[0]
-    d_class, node_class, counts = np.unique(
-        d_bar, return_inverse=True, return_counts=True
-    )
-    broken = _outside_polytope(d_class, counts, node_class, q)
-    if broken.size:
-        outside = np.flatnonzero((d_bar <= 0) | (d_bar >= (n - 1) * (q - 1)))
-        return FitResult(
-            status=STATUS_INFEASIBLE,
-            n=n,
-            q=q,
-            tolerance=tol,
-            iterations=0,
-            infeasible_nodes=(outside if outside.size else broken).tolist(),
+    n = D.shape[1]
+    fits: list = [None] * D.shape[0]
+    rows, d_class, node_class, counts = [], [], [], []
+    for b, d_bar in enumerate(D):
+        d, inverse, c = np.unique(d_bar, return_inverse=True, return_counts=True)
+        broken = _outside_polytope(d, c, inverse, q)
+        if broken.size:
+            outside = np.flatnonzero((d_bar <= 0) | (d_bar >= (n - 1) * (q - 1)))
+            fits[b] = FitResult(
+                status=STATUS_INFEASIBLE,
+                n=n,
+                q=q,
+                tolerance=tol,
+                iterations=0,
+                infeasible_nodes=(outside if outside.size else broken).tolist(),
+            )
+        else:
+            rows.append(b)
+            d_class.append(d)
+            node_class.append(inverse)
+            counts.append(c)
+    if rows:
+        sizes = [c.shape[0] for c in counts]
+        d, counts = np.concatenate(d_class), np.concatenate(counts)
+        for r, fit in _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
+            fits[rows[r]] = fit
+    return fits
+
+
+def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
+    """The rounds of ``solve_many`` over feasible sequences r = 0, 1, ...
+    with sizes[r] classes each, whose distinct degrees d and counts lie
+    side by side; yields (r, fit) as each one ends.
+
+    A sequence's own state is a few numbers kept in lists: its sup norm,
+    its iterations, whether it failed (a singular or non-finite Newton
+    direction, or a step halved below ``_MIN_STEP``), and step: below 0,
+    minus the diagonal steps it may still try; 0, it needs a Newton
+    direction; above 0, the length of its next Newton step.  The state of
+    its classes (the point beta, the residual f, the direction) and pairs
+    (the variances of the last accepted pass) lies in the shared arrays.
+    """
+    live = list(range(len(sizes)))
+
+    def lay_out(counts):
+        """The class layout, each class's sequence, and where each
+        sequence's classes and pairs start in it."""
+        k = np.array(sizes)
+        pairs = k * (k - 1) // 2
+        return (
+            _classes(counts, k),
+            np.arange(k.shape[0]).repeat(k),
+            np.cumsum(k) - k,
+            np.cumsum(pairs) - pairs,
         )
 
-    cls = _classes(counts)
-    beta = _one_class_roots(d_class, n, q)
+    cls, seq, starts, pair_starts = lay_out(counts)
 
     def evaluate(point):
-        """The residual, its sup norm and the pair variances at a point,
-        from one kernel pass."""
+        """The residual, each sequence's sup norm and the pair variances
+        at a point, from one kernel pass."""
         mean, pair_var = _moments(point, q, cls)
-        r = d_class - _node_sums(cls, mean)
-        return r, float(np.max(np.abs(r))), pair_var
+        r = d - _node_sums(cls, mean)
+        return r, np.maximum.reduceat(np.abs(r), starts).tolist(), pair_var
 
+    beta = _one_class_roots(d, n, q)
     f, fnorm, var = evaluate(beta)
-    iterations = 0
+    iterations, failed = [0] * len(live), [False] * len(live)
+    step = [-float(_DIAGONAL_STEPS)] * len(live)
+    delta = np.zeros(cls.k)
+    cells = {}  # per class count k, the cells a*k + b of its class pairs a < b
 
-    for _ in range(_DIAGONAL_STEPS):
-        if fnorm <= tol or iterations >= max_iter:
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cand = beta + f / _node_sums(cls, var)
-        if not np.all(np.isfinite(cand)):
-            break
+    while True:
+        going = [
+            norm > tol and its < max_iter and not bad
+            for norm, its, bad in zip(fnorm, iterations, failed)
+        ]
+        if not all(going):
+            converged = [not norm > tol and not bad for norm, bad in zip(fnorm, failed)]
+            if any(converged):
+                v_hat = _node_sums(cls, var)
+            for r in range(len(live)):
+                if going[r]:
+                    continue
+                if converged[r]:
+                    own = slice(starts[r], starts[r] + sizes[r])
+                    nodes = node_class[live[r]]
+                    fit = FitResult(
+                        status=STATUS_CONVERGED,
+                        n=n,
+                        q=q,
+                        tolerance=tol,
+                        iterations=iterations[r],
+                        alpha_hat=beta[own][nodes],
+                        residual_inf=fnorm[r],
+                        v_hat_diag=v_hat[own][nodes],
+                    )
+                else:
+                    fit = _diverged(n, q, tol, iterations[r], fnorm[r])
+                yield live[r], fit
+            if not any(going):
+                return
+            keep = np.array(going)[seq]
+            var = np.concatenate((var[: -cls.k][keep[cls.iu]], var[-cls.k :][keep]))
+            beta, f, d, delta = beta[keep], f[keep], d[keep], delta[keep]
+            live, sizes, fnorm, iterations, failed, step = (
+                [x for x, on in zip(xs, going) if on]
+                for xs in (live, sizes, fnorm, iterations, failed, step)
+            )
+            cls, seq, starts, pair_starts = lay_out(cls.c[keep])
+
+        diagonal = [s < 0 for s in step]
+        if any(diagonal):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                fixed_point = beta + f / _node_sums(cls, var)
+            finite = np.logical_and.reduceat(np.isfinite(fixed_point), starts)
+            for r in np.flatnonzero(~finite):
+                if diagonal[r]:
+                    diagonal[r], step[r] = False, 0.0
+        if 0.0 in step:
+            rhs = cls.c * f
+            for k in sorted({k for k, s in zip(sizes, step) if s == 0.0}):
+                group = [r for r in range(len(live)) if sizes[r] == k and step[r] == 0.0]
+                idx = starts[group][:, None] + np.arange(k)
+                pairs = k * (k - 1) // 2
+                if k not in cells:
+                    first = slice(pair_starts[group[0]], pair_starts[group[0]] + pairs)
+                    cells[k] = cls.iu[first] * k + cls.ju[first] - idx[0, 0] * (k + 1)
+                if len(live) == 1:  # the whole layout is this sequence's
+                    var_rows = var[None]
+                else:
+                    own_idx = var.shape[0] - cls.k + idx
+                    pair_idx = pair_starts[group][:, None] + np.arange(pairs)
+                    var_rows = var[np.concatenate((pair_idx, own_idx), axis=1)]
+                found = _newton_directions(
+                    _class_jacobian(cls.c[idx], var_rows, cells[k]), rhs[idx]
+                )
+                finite = np.isfinite(found).all(axis=1)
+                if not finite.all():
+                    found[~finite] = 0.0
+                delta[idx] = found
+                for r, ok in zip(group, finite.tolist()):
+                    step[r], failed[r] = 1.0, not ok
+
+        cand = beta + np.array(step)[seq] * delta
+        if any(diagonal):
+            cand = np.where(np.array(diagonal)[seq], fixed_point, cand)
         fc, cnorm, var_c = evaluate(cand)
-        if not cnorm < fnorm:
-            break
-        beta, f, fnorm, var = cand, fc, cnorm, var_c
-        iterations += 1
+        better = [c < norm and not bad for c, norm, bad in zip(cnorm, fnorm, failed)]
+        if all(better):
+            beta, f, var = cand, fc, var_c
+        elif any(better):
+            keep = np.array(better)[seq]
+            np.copyto(beta, cand, where=keep)
+            np.copyto(f, fc, where=keep)
+            np.copyto(var, var_c, where=np.concatenate((keep[cls.iu], keep)))
+        for r in range(len(live)):
+            if better[r]:
+                fnorm[r] = cnorm[r]
+                iterations[r] += 1
+            if diagonal[r]:
+                step[r] = step[r] + 1.0 if better[r] else 0.0
+            elif better[r]:
+                step[r] = 0.0
+            elif not failed[r]:
+                step[r] *= 0.5
+                failed[r] = step[r] < _MIN_STEP
 
-    while fnorm > tol and iterations < max_iter:
-        try:
-            delta = np.linalg.solve(_class_jacobian(cls, var), cls.c * f)
-        except np.linalg.LinAlgError:
-            return _diverged(n, q, tol, iterations, fnorm)
-        if not np.all(np.isfinite(delta)):
-            return _diverged(n, q, tol, iterations, fnorm)
 
-        step = 1.0
-        accepted = False
-        while step >= _MIN_STEP:
-            cand = beta + step * delta
-            fc, cnorm, var_c = evaluate(cand)
-            if cnorm < fnorm:
-                beta, f, fnorm, var = cand, fc, cnorm, var_c
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return _diverged(n, q, tol, iterations, fnorm)
-        iterations += 1
-
-    if fnorm > tol:
-        return _diverged(n, q, tol, iterations, fnorm)
-
-    return FitResult(
-        status=STATUS_CONVERGED,
-        n=n,
-        q=q,
-        tolerance=tol,
-        iterations=iterations,
-        alpha_hat=beta[node_class],
-        residual_inf=fnorm,
-        v_hat_diag=_node_sums(cls, var)[node_class],
-    )
+def _newton_directions(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solutions of the stacked systems jac[r] x = rhs[r], one LU solve
+    each; the row of a singular system is NaN."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole stack
+        out = np.full(rhs.shape, np.nan)
+        for r in range(jac.shape[0]):
+            try:
+                out[r] = np.linalg.solve(jac[r : r + 1], rhs[r : r + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _outside_polytope(d, counts, node_class, q: int) -> np.ndarray:
@@ -356,45 +505,3 @@ def node_intervals(
     z = _z(level)
     se = 1.0 / np.sqrt(fit.v_hat_diag)
     return se, z * se
-
-
-# ---------------------------------------------------------------------------
-# theory-side diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InverseApproxReport:
-    """Gap between the exact Jacobian inverse and its diagonal surrogate."""
-
-    max_entry_gap: float
-    s_diag: np.ndarray
-    inv_inf_norm: float
-
-
-def inverse_approximation(alpha, q: int) -> InverseApproxReport:
-    """Compare the exact inverse Jacobian with the diagonal approximation.
-
-    Computes V^{-1} by dense inversion and S with S_ij = delta_ij / v_ii,
-    returning the largest absolute entry of V^{-1} - S, the S diagonal, and
-    the sup-norm (max absolute row sum) of V^{-1}.  Dense inversion caps the
-    usable size at ``_DENSE_INVERSE_CAP`` nodes; intended as a diagnostic at
-    moderate n.
-    """
-    a = _as_alpha(alpha)
-    if a.shape[0] > _DENSE_INVERSE_CAP:
-        raise ValueError(
-            f"n={a.shape[0]} too large for dense inversion cap {_DENSE_INVERSE_CAP}."
-        )
-    v = degree_jacobian(a, q)
-    try:
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Jacobian is singular.") from exc
-    s_diag = 1.0 / np.diagonal(v)
-    gap = v_inv - np.diag(s_diag)
-    return InverseApproxReport(
-        max_entry_gap=float(np.max(np.abs(gap))),
-        s_diag=s_diag,
-        inv_inf_norm=float(np.max(np.abs(v_inv).sum(axis=1))),
-    )

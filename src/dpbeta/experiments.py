@@ -11,10 +11,13 @@ separately and excluded from the per-pair statistics.
 
 Child seeds are derived by hashing (master_seed, replication index), so
 replications are order-independent and results are bit-reproducible.
+Replications are drawn one at a time and solved together in chunks
+(``estimator.solve_many``), whose results do not depend on the chunking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import FitResult, contrast_ci, solve
+from .estimator import contrast_ci, solve_many
 from .mechanisms import calibrate, sample_noise
 from .model import _check_q, _integer, _sample_degrees
 
@@ -175,18 +178,38 @@ def _study_setup(l_mode: str, eps_mode: str, n: int):
     return alpha_star, calibrate(epsilon_schedule(eps_mode, n))
 
 
-def _replicate(
+def _noisy_degrees(
     alpha_star: np.ndarray, q: int, mechanism, seed: np.random.SeedSequence
-) -> FitResult:
-    """One replication: sample a graph's degrees, release them, fit.
+) -> np.ndarray:
+    """One replication's released degrees: a graph's degrees sampled at the
+    truth, plus noise, from one generator.
 
     Only the degrees are drawn, from the same stream as ``sample_graph``;
     no edge list is built.
     """
     rng = np.random.default_rng(seed)
     d = _sample_degrees(alpha_star, q, rng)
-    e = sample_noise(mechanism, d.shape[0], rng)
-    return solve(d + e, q)
+    return d + sample_noise(mechanism, d.shape[0], rng)
+
+
+# Replications solved together hold at most this many class pairs,
+# counting each at its most, n(n-1)/2: 13 replications at n = 100, one
+# from n = 257 up.  A pass over a batch takes some 90 bytes per pair, so
+# the budget bounds a study's added memory at ~6 MB; at n = 100 a batch of
+# about 40 classes per replication adds ~1 MB.
+_PAIR_BUDGET = 2**16
+
+
+def _fits(alpha_star: np.ndarray, q: int, mechanism, seeds):
+    """The fits of the replications with the given child seeds, in order,
+    solved in chunks within ``_PAIR_BUDGET``."""
+    n = alpha_star.shape[0]
+    chunk = max(1, _PAIR_BUDGET // (n * (n - 1) // 2))
+    seeds = iter(seeds)
+    while batch := list(itertools.islice(seeds, chunk)):
+        yield from solve_many(
+            [_noisy_degrees(alpha_star, q, mechanism, seed) for seed in batch], q
+        )
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -203,8 +226,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     length_sum = np.zeros(len(spec.pairs))
     xi_rows = []
 
-    for rep in range(spec.reps):
-        fit = _replicate(alpha_star, spec.q, mechanism, child_seed(spec.master_seed, rep))
+    seeds = (child_seed(spec.master_seed, rep) for rep in range(spec.reps))
+    for fit in _fits(alpha_star, spec.q, mechanism, seeds):
         if not fit.converged:
             continue
         ci = contrast_ci(fit, i, j, spec.level)
@@ -282,10 +305,8 @@ def rate_study(
     for n in sizes:
         alpha_star, mechanism = _study_setup(l_mode, eps_mode, n)
         errors = []
-        for rep in range(reps):
-            fit = _replicate(
-                alpha_star, q, mechanism, child_seed(master_seed, n, rep)
-            )
+        seeds = (child_seed(master_seed, n, rep) for rep in range(reps))
+        for fit in _fits(alpha_star, q, mechanism, seeds):
             if fit.converged:
                 errors.append(float(np.max(np.abs(fit.alpha_hat - alpha_star))))
         median = float(np.median(errors)) if errors else math.nan

@@ -43,8 +43,11 @@ rather than in n.  Both come from one private core: the classes are laid
 out once (``_classes``), and one kernel pass (``_moments``) gives the mean
 and the variance of every class pair, so a solver that checks its inputs
 once can evaluate E(d) and the Jacobian at a point for the price of one
-pass.  ``expected_degrees`` and ``degree_jacobian`` are the checking public
-wrappers over that core, with one node per class.
+pass.  The classes of several degree sequences can share one layout and
+one pass; the kernel computes each pair's moments on their own, so they
+are the same as in a pass over its sequence alone.  ``expected_degrees``
+and ``degree_jacobian`` are the checking public wrappers over that core,
+with one node per class.
 """
 
 from __future__ import annotations
@@ -177,7 +180,17 @@ def _shifted_exponentials(s, q: int):
     t = np.multiply.outer(np.arange(q, dtype=float), s)
     t -= shift
     np.exp(t, out=t)
-    return t, t.sum(axis=0)
+    return t, _class_sum(t)
+
+
+def _class_sum(t: np.ndarray) -> np.ndarray:
+    """sum_k t[k], added one class at a time, k = 0, 1, ...: each entry's
+    sum is then the same whatever array it sits in, where ``t.sum(axis=0)``
+    regroups the terms of a one-column t."""
+    total = t[0] + t[1]
+    for row in t[2:]:
+        total += row
+    return total
 
 
 # The thresholds and column indices of the last (alpha, q) sampled are kept
@@ -322,27 +335,36 @@ def _sample_degrees(alpha, q: int, seed=None) -> np.ndarray:
 
 class _Classes(NamedTuple):
     """The validated layout of k classes of tied nodes: the multiplicities
-    c, the class pairs a < b (row-major) and their flat indices a*k + b in
-    a k-by-k matrix, the partner weights c[iu] and c[ju] of those pairs,
-    and c - 1, the weight of a class's own pair."""
+    c, the class pairs a < b (row-major) joined in a moment pass, the
+    partner weights c[iu] and c[ju] of those pairs, and c - 1, the weight of
+    a class's own pair."""
 
     k: int
     c: np.ndarray
     iu: np.ndarray
     ju: np.ndarray
-    flat: np.ndarray
     c_iu: np.ndarray
     c_ju: np.ndarray
     c_own: np.ndarray
 
 
-def _classes(counts) -> _Classes:
+def _classes(counts, sizes=None) -> _Classes:
     """Lay out the class pairs of the multiplicities counts (each >= 1)
-    once for every moment pass."""
+    once for every moment pass.
+
+    counts may hold the classes of several sequences side by side, sizes[b]
+    of them for sequence b; a class is then paired only with the later
+    classes of its own sequence, so a pass over the layout computes every
+    sequence's moments as a pass over that sequence alone would.
+    """
     c = np.asarray(counts, dtype=float)
     k = c.shape[0]
-    iu, ju = np.triu_indices(k, 1)
-    return _Classes(k, c, iu, ju, iu * k + ju, c[iu], c[ju], c - 1.0)
+    # one past the last class of each class's sequence
+    end = k if sizes is None else np.cumsum(sizes).repeat(sizes)
+    later = end - np.arange(k) - 1
+    iu = np.arange(k).repeat(later)
+    ju = np.arange(iu.shape[0]) - (np.cumsum(later) - later).repeat(later) + iu + 1
+    return _Classes(k, c, iu, ju, c[iu], c[ju], c - 1.0)
 
 
 def _moments(beta: np.ndarray, q: int, cls: _Classes):
@@ -353,14 +375,21 @@ def _moments(beta: np.ndarray, q: int, cls: _Classes):
     order of cls) followed by 2 beta_a, the sum for two nodes of class a.
     The variance is taken about the mean, sum_k (k - m)^2 t_k / den, rather
     than as E(a^2) - m^2, so saturated pair sums keep their tiny positive
-    variance instead of cancelling to zero.
+    variance instead of cancelling to zero.  Every entry is computed on its
+    own, one class k at a time, so it does not depend on the other pair
+    sums of the pass.
     """
     s = np.concatenate((beta[cls.iu] + beta[cls.ju], 2.0 * beta))
     t, den = _shifted_exponentials(s, q)
-    mean = np.arange(q, dtype=float) @ t / den
+    del s  # a batch of sequences holds many pairs: keep the pass lean
+    mean = sum((k * t[k] for k in range(2, q)), t[1]) / den
+    square = np.empty_like(mean)
     for k in range(q):
-        t[k] *= (k - mean) ** 2
-    return mean, t.sum(axis=0) / den
+        np.subtract(k, mean, out=square)
+        t[k] *= np.square(square, out=square)
+    var = _class_sum(t)
+    var /= den
+    return mean, var
 
 
 def _node_sums(cls: _Classes, x: np.ndarray) -> np.ndarray:
@@ -374,20 +403,26 @@ def _node_sums(cls: _Classes, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _class_jacobian(cls: _Classes, var: np.ndarray) -> np.ndarray:
-    """The k-by-k class Jacobian P^T V P from the pair variances var of
-    ``_moments``, where V is the node-level ``degree_jacobian`` and P the
+def _class_jacobian(c: np.ndarray, var: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The k-by-k class Jacobians P^T V P of m sequences of k classes each,
+    stacked (m, k, k), from their multiplicities c (m, k) and the rows var
+    (m, k(k-1)/2 + k) of pair variances that ``_moments`` gives for one
+    sequence; cells holds the indices a*k + b of the class pairs a < b in
+    a k-by-k matrix.  V is the node-level ``degree_jacobian`` and P the
     n-by-k class-indicator matrix: entry (a, b) is c_a c_b v_ab off the
     diagonal and c_a v_ii + c_a (c_a - 1) v_aa on it."""
-    k, c = cls.k, cls.c
-    pair, own = var[:-k], var[-k:]
-    v = np.zeros((k, k))
-    v.ravel()[cls.flat] = pair
-    v = v + v.T  # x + 0 is exact: the symmetric matrix of the pair variances
-    v *= c
-    v_ii = v.sum(axis=1) + cls.c_own * own
-    v *= c[:, None]
-    np.fill_diagonal(v, c * (v_ii + cls.c_own * own))
+    m, k = c.shape
+    pair, own = var[:, :-k], var[:, -k:]
+    c_own = c - 1.0
+    v = np.zeros((m, k * k))
+    for row, x in zip(v, pair):  # a 1-d scatter per row is the faster
+        row[cells] = x
+    v = v.reshape(m, k, k)
+    v = v + v.transpose(0, 2, 1)  # x + 0 is exact: the symmetric pair variances
+    v *= c[:, None, :]
+    v_ii = v.sum(axis=2) + c_own * own
+    v *= c[:, :, None]
+    v.reshape(m, k * k)[:, :: k + 1] = c * (v_ii + c_own * own)
     return v
 
 
@@ -407,5 +442,7 @@ def degree_jacobian(alpha, q: int) -> np.ndarray:
     so the matrix is symmetric positive definite on feasible problems.
     """
     a, q = _as_alpha(alpha), _check_q(q)
-    cls = _classes(np.ones(a.shape[0]))
-    return _class_jacobian(cls, _moments(a, q, cls)[1])
+    n = a.shape[0]
+    cls = _classes(np.ones(n))
+    var = _moments(a, q, cls)[1]
+    return _class_jacobian(cls.c[None], var[None], cls.iu * n + cls.ju)[0]

@@ -5,7 +5,8 @@ moments come from raw, unshifted exponentials summed over the q support
 points (so they hold only for moderate pair sums, (q-1)|s| below ~700),
 noise moments from truncated series summation over the integer support,
 expected degrees from explicit pairwise summation of the scalar mean,
-Jacobians from central finite differences, the moment equations are
+Jacobians from central finite differences, the inverse Jacobian from
+dense inversion of the public ``degree_jacobian``, the moment equations are
 solved by cyclic coordinate bisection instead of Newton steps, and whether
 a root exists is read off every inequality of the degree polytope.  Edge
 lists are parsed one line at a time with ``str.split`` and ``int``.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +69,45 @@ def jacobian_by_finite_differences(
         dn[j] -= step
         jac[:, j] = (expected_degrees(up, q) - expected_degrees(dn, q)) / (2 * step)
     return jac
+
+
+@dataclass
+class InverseApproxReport:
+    """Gap between the exact Jacobian inverse and its diagonal surrogate."""
+
+    max_entry_gap: float
+    s_diag: np.ndarray
+    inv_inf_norm: float
+
+
+# Largest n ``inverse_approximation`` inverts densely.
+_DENSE_INVERSE_CAP = 2000
+
+
+def inverse_approximation(alpha, q: int) -> InverseApproxReport:
+    """Compare the exact inverse Jacobian with the diagonal approximation.
+
+    Computes V^{-1} by dense inversion and S with S_ij = delta_ij / v_ii,
+    returning the largest absolute entry of V^{-1} - S, the S diagonal, and
+    the sup-norm (max absolute row sum) of V^{-1}.  Dense inversion caps the
+    usable size at ``_DENSE_INVERSE_CAP`` nodes.
+    """
+    from dpbeta.model import degree_jacobian
+
+    a = np.asarray(alpha, dtype=float)
+    if a.shape[0] > _DENSE_INVERSE_CAP:
+        raise ValueError(
+            f"n={a.shape[0]} too large for dense inversion cap {_DENSE_INVERSE_CAP}."
+        )
+    v = degree_jacobian(a, q)
+    v_inv = np.linalg.inv(v)
+    s_diag = 1.0 / np.diagonal(v)
+    gap = v_inv - np.diag(s_diag)
+    return InverseApproxReport(
+        max_entry_gap=float(np.max(np.abs(gap))),
+        s_diag=s_diag,
+        inv_inf_norm=float(np.max(np.abs(v_inv).sum(axis=1))),
+    )
 
 
 def dlaplace_moment_by_series(lam: float, power: int, zmax: int = 400) -> float:

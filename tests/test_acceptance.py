@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpbeta.estimator import inverse_approximation, solve
+from dpbeta.estimator import solve
 from dpbeta.experiments import ExperimentSpec, rate_study, run_experiment
 from dpbeta.mechanisms import (
     calibrate,
@@ -202,8 +202,8 @@ def test_c08_dp_ratio():
 def test_c09_inverse_approximation_scaling():
     ratios = {}
     for q in (2, 3):
-        gap50 = inverse_approximation(np.zeros(50), q).max_entry_gap
-        gap100 = inverse_approximation(np.zeros(100), q).max_entry_gap
+        gap50 = oracles.inverse_approximation(np.zeros(50), q).max_entry_gap
+        gap100 = oracles.inverse_approximation(np.zeros(100), q).max_entry_gap
         ratios[q] = gap50 / gap100
     ok = all(3.0 <= r <= 5.5 for r in ratios.values())
     _report(

@@ -792,10 +792,34 @@ class TestExitCodes:
         rel, fitp = tmp_path / "rel.json", tmp_path / "fit.json"
         rel.write_text('{"q": 3, "d_bar": [5, 4, 5, 2]}')
         assert main(["fit", "--input", str(rel), "--out", str(fitp)]) == 3
-        assert "infeasible noisy degree at vertex 1, 3, 4." in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the inequality is named as one that the vertices break together,
+        # not as three degrees each out of range
+        assert "vertices 1, 3, 4 jointly lie outside the degree polytope" in err
+        assert "infeasible noisy degree" not in err
         fit = json.loads(fitp.read_text())
         assert fit["status"] == "nonexistent_infeasible_degree"
         assert fit["iterations"] == 0 and fit["alpha_hat"] is None
+
+    def test_out_of_range_degree_is_named_alone(self, tmp_path, capsys):
+        rel, fitp = tmp_path / "rel.json", tmp_path / "fit.json"
+        rel.write_text('{"q": 3, "d_bar": [0, 5, 5, 5]}')
+        assert main(["fit", "--input", str(rel), "--out", str(fitp)]) == 3
+        err = capsys.readouterr().err
+        assert "estimate does not exist: infeasible noisy degree at vertex 1." in err
+        assert "jointly" not in err
+
+    def test_spent_budget_does_not_claim_nonexistence(self, tmp_path, capsys):
+        # inside the polytope, so a root exists; a budget of 0 steps stops
+        # short of it
+        rel, fitp = tmp_path / "rel.json", tmp_path / "fit.json"
+        rel.write_text('{"q": 3, "d_bar": [8, 8, 8, 4, 8, 6]}')
+        argv = ["fit", "--input", str(rel), "--max-iter", "0", "--out", str(fitp)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "did not converge within its budget" in err
+        assert "an estimate exists" in err and "does not exist" not in err
+        assert json.loads(fitp.read_text())["status"] == "nonexistent_diverged"
 
     @pytest.mark.parametrize(
         "command, config, name",

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dpbeta import estimator, model
-from dpbeta.estimator import contrast_ci, inverse_approximation, node_intervals, solve
+from dpbeta.estimator import contrast_ci, node_intervals, solve, solve_many
 from dpbeta.mechanisms import calibrate, sample_noise
 from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
-from dpbeta.experiments import _replicate, _study_setup, child_seed, truth_profile
+from dpbeta.experiments import _noisy_degrees, _study_setup, child_seed, truth_profile
 
 import oracles
 
@@ -345,7 +345,7 @@ class TestDegreeClasses:
             return lu(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        fit = _replicate(alpha_star, 3, mechanism, child_seed(0, 1000, 0))
+        fit = solve(_noisy_degrees(alpha_star, 3, mechanism, child_seed(0, 1000, 0)), 3)
         assert fit.converged
         assert len(calls) <= 4
         assert fit.iterations == len(calls) + 2
@@ -375,6 +375,67 @@ class TestDegreeClasses:
             tied = d_bar == value
             assert np.all(fit.alpha_hat[tied] == fit.alpha_hat[tied][0])
             assert np.all(fit.v_hat_diag[tied] == fit.v_hat_diag[tied][0])
+
+
+@st.composite
+def degree_batches(draw):
+    """A (B, n) batch of noisy degree rows of mixed kinds and class counts:
+    integers in -1..(n-1)(q-1)+1, so some rows lie outside the polytope or
+    on its boundary; rows with one value (one class); and the real expected
+    degrees of distinct parameters (n classes)."""
+    n, q = draw(st.integers(2, 7)), draw(st.integers(2, 4))
+    top = (n - 1) * (q - 1)
+    integer_row = st.lists(st.integers(-1, top + 1), min_size=n, max_size=n)
+    tied_row = st.integers(0, top).map(lambda v: [v] * n)
+    expected_row = st.lists(
+        st.integers(-150, 150), min_size=n, max_size=n, unique=True
+    ).map(lambda cents: list(expected_degrees(np.array(cents) / 100.0, q)))
+    rows = draw(
+        st.lists(st.one_of(integer_row, tied_row, expected_row), min_size=1, max_size=6)
+    )
+    return np.array(rows, dtype=float), q
+
+
+class TestSolveMany:
+    """Sequences solved together in lock-step rounds give each the fit it
+    gets alone, to the last bit."""
+
+    @settings(max_examples=60)
+    @given(degree_batches(), st.sampled_from([0, 1, 2, 200]))
+    def test_each_fit_is_its_solo_fit(self, case, max_iter):
+        d_bars, q = case
+        fits = solve_many(d_bars, q, max_iter=max_iter)
+        assert len(fits) == d_bars.shape[0]
+        for d_bar, fit in zip(d_bars, fits):
+            assert fit.to_dict() == solve(d_bar, q, max_iter=max_iter).to_dict()
+
+    def test_rows_that_end_in_different_rounds(self):
+        # rows converging after different numbers of steps, a one-class row,
+        # an out-of-range row and a boundary row (9 + 9 - 2 = 2*2*(6-1-1)),
+        # in either order
+        d_bars = np.array([
+            [8, 8, 8, 4, 8, 6],
+            [5, 4, 5, 2, 3, 3],
+            [5, 5, 5, 5, 5, 5],
+            [0, 3, 4, 5, 6, 7],
+            [9, 9, 2, 5, 5, 5],
+        ], dtype=float)
+        fits = solve_many(d_bars, 3)
+        assert [fit.to_dict() for fit in fits] == [
+            fit.to_dict() for fit in solve_many(d_bars[::-1], 3)[::-1]
+        ]
+        assert len({fit.iterations for fit in fits if fit.converged}) == 3
+        assert [fit.infeasible_nodes for fit in fits[3:]] == [[0], [0, 1, 2]]
+        assert [solve(d, 3).to_dict() for d in d_bars] == [f.to_dict() for f in fits]
+
+    def test_empty_batch_and_bad_shapes(self):
+        assert solve_many(np.empty((0, 4)), 3) == []
+        with pytest.raises(ValueError, match="rows"):
+            solve_many([1.0, 2.0, 3.0], 3)
+        with pytest.raises(ValueError, match="rows"):
+            solve_many([[1.0], [2.0]], 3)
+        with pytest.raises(ValueError, match="finite"):
+            solve_many([[1.0, 2.0, 2.0], [1.0, np.nan, 2.0]], 2)
 
 
 class TestNormalQuantile:
@@ -464,9 +525,11 @@ class TestIntervals:
 
 
 class TestInverseApproximation:
+    """The dense-inversion oracle behind c09, at points with a closed form."""
+
     def test_s_diagonal_at_zero_alpha(self):
         n = 50
-        rep = inverse_approximation(np.zeros(n), 2)
+        rep = oracles.inverse_approximation(np.zeros(n), 2)
         np.testing.assert_allclose(rep.s_diag, 4 / (n - 1), atol=1e-12)
 
     @pytest.mark.parametrize("q,v_off", [(2, 0.25), (3, 2 / 3)])
@@ -476,7 +539,7 @@ class TestInverseApproximation:
         # 1 / (v_off (n-2) (2n-2)).
         gaps = {}
         for n in (50, 100):
-            rep = inverse_approximation(np.zeros(n), q)
+            rep = oracles.inverse_approximation(np.zeros(n), q)
             closed = 1.0 / (v_off * (n - 2) * (2 * n - 2))
             assert rep.max_entry_gap == pytest.approx(closed, rel=1e-6)
             gaps[n] = rep.max_entry_gap
@@ -485,12 +548,6 @@ class TestInverseApproximation:
 
     def test_inf_norm_within_theory_window(self):
         n = 100
-        rep = inverse_approximation(np.zeros(n), 3)
+        rep = oracles.inverse_approximation(np.zeros(n), 3)
         # bound c (1 + e^0)^3 / (n-1) with a small constant
         assert rep.inv_inf_norm <= 3.0 * 8.0 / (n - 1)
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(estimator, "_DENSE_INVERSE_CAP", 5)
-        with pytest.raises(ValueError, match="cap 5"):
-            inverse_approximation(np.zeros(10), 2)
-        assert inverse_approximation(np.zeros(5), 2).s_diag.shape == (5,)

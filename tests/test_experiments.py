@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpbeta import model
+from dpbeta import experiments, model
 from dpbeta.estimator import solve
 from dpbeta.experiments import (
     ExperimentResult,
     ExperimentSpec,
     PairSummary,
-    _replicate,
+    _noisy_degrees,
     _study_setup,
     child_seed,
     default_pairs,
@@ -311,6 +311,26 @@ class TestReproducibility:
         assert a.nonexistence == b.nonexistence
 
 
+class TestChunking:
+    """Replications are solved together in chunks within a class-pair
+    budget; no output depends on the chunking."""
+
+    @pytest.mark.parametrize("budget", [1, 2**20])
+    def test_study_outputs_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        spec = ExperimentSpec(n=30, q=3, l_mode="loglog", eps_mode="fixed:1",
+                              reps=40, master_seed=8)
+        default = run_experiment(spec)
+        monkeypatch.setattr(experiments, "_PAIR_BUDGET", budget)
+        other = run_experiment(spec)
+        assert 0 < other.converged < spec.reps  # both kinds of outcome occur
+        assert (other.converged, other.nonexistence) == (default.converged, default.nonexistence)
+        for pa, pb in zip(default.pairs, other.pairs):
+            assert (pa.coverage, pa.mean_length, pa.xi) == (pb.coverage, pb.mean_length, pb.xi)
+        rows = rate_study([20, 30], 3, "sqrtlog", reps=9, master_seed=3)
+        monkeypatch.setattr(experiments, "_PAIR_BUDGET", 2**16)
+        assert rows == rate_study([20, 30], 3, "sqrtlog", reps=9, master_seed=3)
+
+
 class TestReplicate:
     def test_draws_degrees_without_building_a_graph(self, monkeypatch):
         # the same fit as sampling the graph and taking its degrees
@@ -326,6 +346,6 @@ class TestReplicate:
         monkeypatch.setattr(model.WeightedGraph, "__post_init__", refuse)
         with pytest.raises(AssertionError, match="WeightedGraph"):
             model.sample_graph(alpha, 3, seed=1)
-        fit = _replicate(alpha, 3, mechanism, seed)
+        fit = solve(_noisy_degrees(alpha, 3, mechanism, seed), 3)
         assert fit.status == expected.status
         np.testing.assert_array_equal(fit.alpha_hat, expected.alpha_hat)

@@ -451,15 +451,37 @@ class TestDegreeClasses:
             first = np.searchsorted(node_class, np.arange(k))
             cls = model._classes(counts)
             mean, var = model._moments(beta, q, cls)
-            np.testing.assert_allclose(
-                model._class_jacobian(cls, var), p.T @ v @ p, rtol=1e-12, atol=0
-            )
+            jac = model._class_jacobian(cls.c[None], var[None], cls.iu * k + cls.ju)
+            np.testing.assert_allclose(jac[0], p.T @ v @ p, rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 model._node_sums(cls, mean),
                 expected_degrees(alpha, q)[first],
                 rtol=1e-12,
                 atol=0,
             )
+
+
+    def test_side_by_side_sequences_get_their_own_moments(self):
+        # classes of several sequences share one layout and one pass; every
+        # sequence's pair moments are bit-identical to a pass over it alone,
+        # which a BLAS product over the class axis would not give for q >= 4
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            q = int(rng.integers(2, 7))
+            sizes = rng.integers(1, 14, size=int(rng.integers(2, 40)))
+            beta = rng.normal(0, 2, sizes.sum())
+            cls = model._classes(rng.integers(1, 4, sizes.sum()), sizes)
+            mean, var = model._moments(beta, q, cls)
+            pairs = sizes * (sizes - 1) // 2
+            p_at, c_at = np.cumsum(pairs) - pairs, np.cumsum(sizes) - sizes
+            for k, p, p0, c0 in zip(sizes, pairs, p_at, c_at):
+                alone = model._classes(cls.c[c0 : c0 + k])
+                assert np.array_equal(alone.iu + c0, cls.iu[p0 : p0 + p])
+                assert np.array_equal(alone.ju + c0, cls.ju[p0 : p0 + p])
+                one_mean, one_var = model._moments(beta[c0 : c0 + k], q, alone)
+                own = np.r_[p0 : p0 + p, cls.iu.shape[0] + c0 + np.arange(k)]
+                assert np.array_equal(one_mean, mean[own])
+                assert np.array_equal(one_var, var[own])
 
 
 class TestCheckQ:
