@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-prune",
         dest="prune",
         action="store_false",
-        help="keep zero-degree vertices (the fit will not exist)",
+        help="keep zero-degree vertices (the fit then usually does not exist)",
     )
     p.add_argument("--out-prefix", required=True, dest="out_prefix")
     p.set_defaults(func=_cmd_pipeline)

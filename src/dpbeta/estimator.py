@@ -27,14 +27,17 @@ decided before iterating; an iteration that fails (singular system or
 budget spent) had a root to find.  Both are reported as data, not raised.
 
 Many sequences of one length, such as the replications of a study, are
-solved together (``solve_many``): they iterate in lock-step rounds, and
-each round evaluates the points of all of them in one kernel pass over
-their classes laid side by side and stacks the LU solves of systems of
-equal size.  At n = 100 a sequence has some 40 classes, so a solve alone
-costs mostly numpy call overhead, which a round shares.  Every operation
-on the shared arrays works entry by entry or within one sequence's
-entries, so a sequence's result is bit-identical to solving it alone,
-whatever its batch-mates.  ``solve`` is the batch of one.
+solved together (``solve_many``): they move on one shared schedule, every
+sequence taking the same kind and length of step each round, so a round
+evaluates all their points in one kernel pass over their classes laid
+side by side and stacks the LU solves of systems of equal size.  At
+n = 100 a sequence has some 40 classes, so a solve alone costs mostly
+numpy call overhead, which a round shares.  A sequence that cannot keep to
+the schedule (its step rejected while a batch-mate's is accepted, or its
+Newton system singular) leaves the batch and is solved again alone.  Every
+operation on the shared arrays works entry by entry or within one
+sequence's entries, so a sequence's result is bit-identical to solving it
+alone, whatever its batch-mates.  ``solve`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -151,10 +154,11 @@ def solve(
     the broken inequality (see ``_outside_polytope``) with the fewest nodes.
 
     This is ``solve_many`` on a batch of one sequence.  There, many
-    sequences take these steps in lock-step rounds that share each kernel
-    pass and stack equal-size LU solves; every operation works entry by
-    entry or within one sequence, so the fit returned here is the one the
-    same d_bar gets in any batch, to the last bit.
+    sequences take these steps together, each round the same step for all,
+    sharing each kernel pass and stacking equal-size LU solves; one that
+    needs a different step is solved again alone.  Every operation works
+    entry by entry or within one sequence, so the fit returned here is the
+    one the same d_bar gets in any batch, to the last bit.
     """
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
@@ -171,15 +175,19 @@ def solve_many(
     """``solve`` for each row of D, a (B, n) array of noisy degree
     sequences, iterated together; the fits come back in row order.
 
-    Each sequence takes the steps ``solve`` describes, and all of them move
-    in lock-step rounds.  In a round every sequence still iterating
-    proposes one point: a diagonal step, a Newton step (its LU solve
-    stacked with those of the other sequences with as many classes), or
-    the next halving of one.  The classes of all of them are laid out side
-    by side, pairs joining classes of one sequence only, so the round
-    evaluates every proposed point in one kernel pass and one bincount per
-    node sum, and takes each sequence's sup norm as the maximum over its
-    own classes.  A sequence that converges or fails leaves the layout.
+    Each sequence takes the steps ``solve`` describes, all of them on one
+    shared schedule: each round every sequence still iterating takes a
+    diagonal step while the batch has one left, else a Newton step of one
+    common length (its LU solve stacked with those of the other sequences
+    with as many classes), halved when every sequence rejects it.  The
+    classes of all of them are laid out side by side, pairs joining
+    classes of one sequence only, so the round evaluates every point in
+    one kernel pass and one bincount per node sum, and takes each
+    sequence's sup norm as the maximum over its own classes.  A sequence
+    that converges or fails leaves the layout, and so does one that cannot
+    keep to the schedule: its step rejected while a batch-mate's is
+    accepted, or its Newton direction singular or non-finite.  That one is
+    solved again alone, where it is the whole batch and so keeps to it.
 
     A sequence's result does not depend on the others in its batch, to the
     last bit: the kernel and its sums over weight classes work entry by
@@ -219,106 +227,100 @@ def solve_many(
             counts.append(c)
     if rows:
         sizes = [c.shape[0] for c in counts]
-        d, counts = np.concatenate(d_class), np.concatenate(counts)
-        for r, fit in _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
-            fits[rows[r]] = fit
+        batch = np.concatenate(d_class), np.concatenate(counts), sizes, node_class
+        # a candidate point can be non-finite: its residual is then NaN,
+        # which rejects it, and the warnings say nothing
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for r, fit in _iterate(*batch, n, q, tol, max_iter):
+                if fit is None:  # it left the shared schedule: solve it alone
+                    alone = d_class[r], counts[r], [sizes[r]], [node_class[r]]
+                    [(_, fit)] = _iterate(*alone, n, q, tol, max_iter)
+                fits[rows[r]] = fit
     return fits
 
 
 def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
     """The rounds of ``solve_many`` over feasible sequences r = 0, 1, ...
     with sizes[r] classes each, whose distinct degrees d and counts lie
-    side by side; yields (r, fit) as each one ends.
+    side by side; yields (r, fit) as each one ends, or (r, None) if it left
+    the shared schedule and must be solved alone.
 
-    A sequence's own state is a few numbers kept in lists: its sup norm,
-    its iterations, whether it failed (a singular or non-finite Newton
-    direction, or a step halved below ``_MIN_STEP``), and step: below 0,
-    minus the diagonal steps it may still try; 0, it needs a Newton
-    direction; above 0, the length of its next Newton step.  The state of
-    its classes (the point beta, the residual f, the direction) and pairs
-    (the variances of the last accepted pass) lies in the shared arrays.
+    Every sequence in the layout takes the same step each round, so the
+    schedule is three numbers: the steps taken, the diagonal steps left and
+    the Newton step length.  A diagonal step rejected by every sequence
+    ends the diagonal steps; a Newton step, from a new direction after
+    each accepted step (step length 1), is halved while every sequence
+    rejects it.  A sequence whose step is rejected while a batch-mate's is
+    accepted, or whose Newton direction is singular or non-finite, leaves
+    the layout as one that converged does; alone, it is the batch, so it
+    never leaves, and a singular direction ends it.  The point beta, the
+    residual f and the direction lie per class in the shared arrays, the
+    variances of the last accepted pass per pair.
     """
     live = list(range(len(sizes)))
 
     def lay_out(counts):
-        """The class layout, each class's sequence, and where each
-        sequence's classes and pairs start in it."""
+        """The class layout and where each sequence's classes and pairs
+        start in it."""
         k = np.array(sizes)
         pairs = k * (k - 1) // 2
-        return (
-            _classes(counts, k),
-            np.arange(k.shape[0]).repeat(k),
-            np.cumsum(k) - k,
-            np.cumsum(pairs) - pairs,
-        )
+        return _classes(counts, k), np.cumsum(k) - k, np.cumsum(pairs) - pairs
 
-    cls, seq, starts, pair_starts = lay_out(counts)
+    cls, starts, pair_starts = lay_out(counts)
 
     def evaluate(point):
         """The residual, each sequence's sup norm and the pair variances
-        at a point, from one kernel pass."""
+        at a point, from one kernel pass; the norm is NaN at a non-finite
+        point, so no step reaches one."""
         mean, pair_var = _moments(point, q, cls)
         r = d - _node_sums(cls, mean)
-        return r, np.maximum.reduceat(np.abs(r), starts).tolist(), pair_var
+        return r, np.maximum.reduceat(np.abs(r), starts), pair_var
 
     beta = _one_class_roots(d, n, q)
     f, fnorm, var = evaluate(beta)
-    iterations, failed = [0] * len(live), [False] * len(live)
-    step = [-float(_DIAGONAL_STEPS)] * len(live)
+    iterations, diagonal, step = 0, _DIAGONAL_STEPS, 1.0
+    leave = np.zeros(len(live), dtype=bool)
     delta = np.zeros(cls.k)
     cells = {}  # per class count k, the cells a*k + b of its class pairs a < b
 
     while True:
-        going = [
-            norm > tol and its < max_iter and not bad
-            for norm, its, bad in zip(fnorm, iterations, failed)
-        ]
-        if not all(going):
-            converged = [not norm > tol and not bad for norm, bad in zip(fnorm, failed)]
-            if any(converged):
+        converged = fnorm <= tol  # a leaver's norm was rejected: above tol or NaN
+        ended = converged | leave | (iterations >= max_iter or step < _MIN_STEP)
+        if ended.any():
+            if converged.any():
                 v_hat = _node_sums(cls, var)
-            for r in range(len(live)):
-                if going[r]:
-                    continue
-                if converged[r]:
-                    own = slice(starts[r], starts[r] + sizes[r])
-                    nodes = node_class[live[r]]
+            for r in np.flatnonzero(ended).tolist():
+                fit = None  # it left the schedule, unless it is the whole batch
+                if not (leave[r] and len(live) > 1):
                     fit = FitResult(
-                        status=STATUS_CONVERGED,
+                        status=STATUS_CONVERGED if converged[r] else STATUS_DIVERGED,
                         n=n,
                         q=q,
                         tolerance=tol,
-                        iterations=iterations[r],
-                        alpha_hat=beta[own][nodes],
-                        residual_inf=fnorm[r],
-                        v_hat_diag=v_hat[own][nodes],
+                        iterations=iterations,
+                        residual_inf=float(fnorm[r]),
                     )
-                else:
-                    fit = _diverged(n, q, tol, iterations[r], fnorm[r])
+                if converged[r]:
+                    own = slice(starts[r], starts[r] + sizes[r])
+                    nodes = node_class[live[r]]
+                    fit.alpha_hat, fit.v_hat_diag = beta[own][nodes], v_hat[own][nodes]
                 yield live[r], fit
-            if not any(going):
+            if ended.all():
                 return
-            keep = np.array(going)[seq]
+            going = ~ended
+            keep = going.repeat(sizes)
             var = np.concatenate((var[: -cls.k][keep[cls.iu]], var[-cls.k :][keep]))
             beta, f, d, delta = beta[keep], f[keep], d[keep], delta[keep]
-            live, sizes, fnorm, iterations, failed, step = (
-                [x for x, on in zip(xs, going) if on]
-                for xs in (live, sizes, fnorm, iterations, failed, step)
+            fnorm, leave = fnorm[going], leave[going]
+            live, sizes = (
+                [x for x, on in zip(xs, going.tolist()) if on] for xs in (live, sizes)
             )
-            cls, seq, starts, pair_starts = lay_out(cls.c[keep])
+            cls, starts, pair_starts = lay_out(cls.c[keep])
 
-        diagonal = [s < 0 for s in step]
-        if any(diagonal):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                fixed_point = beta + f / _node_sums(cls, var)
-            finite = np.logical_and.reduceat(np.isfinite(fixed_point), starts)
-            for r in np.flatnonzero(~finite):
-                if diagonal[r]:
-                    diagonal[r], step[r] = False, 0.0
-        if 0.0 in step:
+        if not diagonal and step == 1.0:  # not halving: a new Newton direction
             rhs = cls.c * f
-            for k in sorted({k for k, s in zip(sizes, step) if s == 0.0}):
-                group = [r for r in range(len(live)) if sizes[r] == k and step[r] == 0.0]
+            for k in sorted(set(sizes)):
+                group = [r for r in range(len(live)) if sizes[r] == k]
                 idx = starts[group][:, None] + np.arange(k)
                 pairs = k * (k - 1) // 2
                 if k not in cells:
@@ -330,54 +332,25 @@ def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
                     own_idx = var.shape[0] - cls.k + idx
                     pair_idx = pair_starts[group][:, None] + np.arange(pairs)
                     var_rows = var[np.concatenate((pair_idx, own_idx), axis=1)]
-                found = _newton_directions(
-                    _class_jacobian(cls.c[idx], var_rows, cells[k]), rhs[idx]
-                )
-                finite = np.isfinite(found).all(axis=1)
-                if not finite.all():
-                    found[~finite] = 0.0
-                delta[idx] = found
-                for r, ok in zip(group, finite.tolist()):
-                    step[r], failed[r] = 1.0, not ok
+                jac = _class_jacobian(cls.c[idx], var_rows, cells[k])
+                try:
+                    delta[idx] = np.linalg.solve(jac, rhs[idx][..., None])[..., 0]
+                except np.linalg.LinAlgError:  # raised for the whole stack
+                    delta[idx] = np.nan
+                del jac  # K-by-K: not to be held through the next kernel pass
+            leave = ~np.logical_and.reduceat(np.isfinite(delta), starts)
 
-        cand = beta + np.array(step)[seq] * delta
-        if any(diagonal):
-            cand = np.where(np.array(diagonal)[seq], fixed_point, cand)
+        cand = beta + (f / _node_sums(cls, var) if diagonal else step * delta)
         fc, cnorm, var_c = evaluate(cand)
-        better = [c < norm and not bad for c, norm, bad in zip(cnorm, fnorm, failed)]
-        if all(better):
-            beta, f, var = cand, fc, var_c
-        elif any(better):
-            keep = np.array(better)[seq]
-            np.copyto(beta, cand, where=keep)
-            np.copyto(f, fc, where=keep)
-            np.copyto(var, var_c, where=np.concatenate((keep[cls.iu], keep)))
-        for r in range(len(live)):
-            if better[r]:
-                fnorm[r] = cnorm[r]
-                iterations[r] += 1
-            if diagonal[r]:
-                step[r] = step[r] + 1.0 if better[r] else 0.0
-            elif better[r]:
-                step[r] = 0.0
-            elif not failed[r]:
-                step[r] *= 0.5
-                failed[r] = step[r] < _MIN_STEP
-
-
-def _newton_directions(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solutions of the stacked systems jac[r] x = rhs[r], one LU solve
-    each; the row of a singular system is NaN."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # raised for the whole stack
-        out = np.full(rhs.shape, np.nan)
-        for r in range(jac.shape[0]):
-            try:
-                out[r] = np.linalg.solve(jac[r : r + 1], rhs[r : r + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        better = cnorm < fnorm
+        if better.any():  # a sequence that rejected the step leaves
+            beta, f, fnorm, var = cand, fc, cnorm, var_c
+            leave |= ~better
+            iterations, diagonal, step = iterations + 1, max(diagonal - 1, 0), 1.0
+        elif diagonal:
+            diagonal = 0
+        else:
+            step *= 0.5
 
 
 def _outside_polytope(d, counts, node_class, q: int) -> np.ndarray:
@@ -424,17 +397,6 @@ def _one_class_roots(d: np.ndarray, n: int, q: int) -> np.ndarray:
     root = np.sqrt((1.0 - m) ** 2 + 4.0 * (q - 2) * (2.0 - m) * m)
     x = 2.0 * m / ((1.0 - m) + root)
     return np.where(upper, -0.5, 0.5) * np.log(x)
-
-
-def _diverged(n, q, tol, iterations, fnorm) -> FitResult:
-    return FitResult(
-        status=STATUS_DIVERGED,
-        n=n,
-        q=q,
-        tolerance=tol,
-        iterations=iterations,
-        residual_inf=fnorm,
-    )
 
 
 # ---------------------------------------------------------------------------

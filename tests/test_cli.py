@@ -554,6 +554,19 @@ class TestCliCommands:
         assert len(scatter_lines) == 28
         assert (tmp_path / "zeb_fit.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("seed,code", [(1, 3), (7, 0)])
+    def test_unpruned_isolated_vertex_usually_has_no_fit(
+        self, tmp_path, zebra_path, seed, code
+    ):
+        # --no-prune keeps isolated vertex 8: its noisy degree is -2 at seed
+        # 1, outside the range, but noise lifts it to 1 at seed 7
+        prefix = tmp_path / "zeb"
+        assert main(["pipeline", "--input", str(zebra_path), "--q", "3",
+                     "--eps", "2", "--seed", str(seed), "--no-prune",
+                     "--out-prefix", str(prefix)]) == code
+        if code == 0:
+            assert len((tmp_path / "zeb_fit.csv").read_text().splitlines()) == 29
+
     def test_simulate_and_manifest_rerun(self, tmp_path):
         out = tmp_path / "r.csv"
         args = ["simulate", "--n", "20", "--q", "3", "--L", "zero",

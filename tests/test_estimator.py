@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -396,18 +396,50 @@ def degree_batches(draw):
     return np.array(rows, dtype=float), q
 
 
+def _singular_if_odd(c, var, cells):
+    """``model._class_jacobian`` with every system of an odd class count
+    made singular."""
+    jac = model._class_jacobian(c, var, cells)
+    if c.shape[1] % 2:
+        jac[:] = 0.0
+    return jac
+
+
 class TestSolveMany:
-    """Sequences solved together in lock-step rounds give each the fit it
-    gets alone, to the last bit."""
+    """Sequences solved together on one shared schedule give each the fit
+    it gets alone, to the last bit."""
 
     @settings(max_examples=60)
-    @given(degree_batches(), st.sampled_from([0, 1, 2, 200]))
-    def test_each_fit_is_its_solo_fit(self, case, max_iter):
+    @given(
+        degree_batches(),
+        st.sampled_from([0, 1, 2, 200]),
+        st.sampled_from([1e-10, 1e-300]),
+        st.booleans(),
+    )
+    # tol = 1e-300 is rarely met, so steps are halved down to _MIN_STEP: the
+    # first row is diverged after 7 steps; the second leaves the batch at
+    # its first diagonal step
+    @example((np.array([[3, 2, 4, 4], [2, 1, 3, 1]]), 3), 200, 1e-300, False)
+    # `singular` makes every system of an odd class count singular: the
+    # first two rows (5 classes) leave the batch at their stacked LU solve
+    # and fail alone, the third (4 classes) converges in the batch
+    @example(
+        (np.array([[2, 3, 4, 5, 6], [2, 3, 4, 5, 7], [3, 3, 4, 5, 6]]), 3),
+        200,
+        1e-10,
+        True,
+    )
+    def test_each_fit_is_its_solo_fit(self, case, max_iter, tol, singular):
         d_bars, q = case
-        fits = solve_many(d_bars, q, max_iter=max_iter)
-        assert len(fits) == d_bars.shape[0]
-        for d_bar, fit in zip(d_bars, fits):
-            assert fit.to_dict() == solve(d_bar, q, max_iter=max_iter).to_dict()
+        with pytest.MonkeyPatch.context() as mp:
+            if singular:
+                mp.setattr(estimator, "_class_jacobian", _singular_if_odd)
+            fits = solve_many(d_bars, q, tol, max_iter)
+            solo = [solve(d_bar, q, tol, max_iter) for d_bar in d_bars]
+        assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
+        assert not any(
+            fit.converged and not np.isfinite(fit.residual_inf) for fit in fits
+        )
 
     def test_rows_that_end_in_different_rounds(self):
         # rows converging after different numbers of steps, a one-class row,
@@ -427,6 +459,12 @@ class TestSolveMany:
         assert len({fit.iterations for fit in fits if fit.converged}) == 3
         assert [fit.infeasible_nodes for fit in fits[3:]] == [[0], [0, 1, 2]]
         assert [solve(d, 3).to_dict() for d in d_bars] == [f.to_dict() for f in fits]
+        # the second row rejects its first diagonal step while the first
+        # accepts it, so it leaves the batch and is solved again alone
+        d_bars = np.array([[3, 2, 4, 4], [2, 1, 3, 1]], dtype=float)
+        fits = solve_many(d_bars, 3)
+        assert [fit.to_dict() for fit in fits] == [solve(d, 3).to_dict() for d in d_bars]
+        assert [(fit.status, fit.iterations) for fit in fits] == [("converged", 6)] * 2
 
     def test_empty_batch_and_bad_shapes(self):
         assert solve_many(np.empty((0, 4)), 3) == []
