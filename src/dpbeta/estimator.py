@@ -7,8 +7,14 @@ The estimate solves the moment equations
 by damped Newton iteration.  The equations are the gradient of a strictly
 convex function, so they have at most one root, and nodes with equal noisy
 degree get equal estimates.  The solver therefore works on the K distinct
-noisy degrees, one parameter per class of tied nodes: each step is one
-K-by-K linear solve (LU, through ``numpy.linalg.solve``), whatever n is.
+noisy degrees, one parameter per class of tied nodes: each Newton step
+solves one K-by-K linear system, whatever n is.  From 128 classes up it
+is solved by conjugate gradients preconditioned by diag(1 / v_ii) less a
+constant, the approximate inverse of Yan & Xu (2013): some six K-by-K
+matrix-vector products in place of an O(K^3) factorization.  Below 128
+classes their per-step numpy overhead costs more than that saves, so the
+system is factored by LU (``numpy.linalg.solve``), as is one that CG
+does not solve.
 The inputs are checked once per solve.  Each point the iteration evaluates
 costs one pass of the model's moment kernel over the class pairs, which
 gives the residual and the edge-weight variances that build the next
@@ -30,7 +36,7 @@ Many sequences of one length, such as the replications of a study, are
 solved together (``solve_many``): they move on one shared schedule, every
 sequence taking the same kind and length of step each round, so a round
 evaluates all their points in one kernel pass over their classes laid
-side by side and stacks the LU solves of systems of equal size.  At
+side by side and stacks the linear systems of equal size.  At
 n = 100 a sequence has some 40 classes, so a solve alone costs mostly
 numpy call overhead, which a round shares.  A sequence that cannot keep to
 the schedule (its step rejected while a batch-mate's is accepted, or its
@@ -65,6 +71,17 @@ STATUS_DIVERGED = "nonexistent_diverged"
 _MIN_STEP = 2.0**-40
 # Diagonal (fixed-point) steps tried before the first Newton step.
 _DIAGONAL_STEPS = 2
+# Newton systems of at least this many classes are solved by conjugate
+# gradients, smaller ones by LU.  A CG step is a dozen numpy calls, so a
+# direction costs some 0.2-0.4 ms by CG from K = 40 to 318, while by LU
+# it grows from ~0.03 to ~1.2 ms: they cross near K = 128 for one system
+# (nearer 96 in a stack of four).
+_CG_CLASSES = 128
+# A CG system is solved once ||r|| <= _CG_TOL ||b||; one not solved within
+# _CG_STEPS steps goes to LU.  Study replications up to n = 2000 take 5-7
+# steps; parameters spread over +-10 take up to about 20.
+_CG_TOL = 1e-13
+_CG_STEPS = 20
 
 
 @dataclass
@@ -128,13 +145,17 @@ def solve(
     The nodes are grouped once into the K distinct values d_a of d_bar,
     with counts c_a, and every iterate is constant on each class: with P
     the n-by-K class-indicator matrix, the step for the class parameters
-    beta solves the K-by-K system (P^T V P) delta = C f, C = diag(c), by one
-    LU solve, and gives the same iterates as the n-by-n system.  Each step
-    applies beta <- beta + step * delta, halving step while the residual
-    sup norm does not decrease.  The inputs are checked and the classes
-    laid out once per call; each point evaluated then costs one kernel
-    pass, which gives both E(d), hence f, and the pair variances, hence
-    the next step's matrix and, at the root, ``v_hat_diag``.
+    beta solves the K-by-K system (P^T V P) delta = C f, C = diag(c), and
+    gives the same iterates as the n-by-n system.  With K < 128 the system
+    is factored by LU.  With K >= 128 it is solved by preconditioned
+    conjugate gradients (``_conjugate_gradients``), or by LU if they do not
+    reach a relative residual of 1e-13 within 20 steps; the two directions
+    agree to rounding.  Each step applies beta <- beta + step * delta,
+    halving step while the residual sup norm does not decrease.  The
+    inputs are checked and the classes laid out once per call; each point
+    evaluated then costs one kernel pass, which gives both E(d), hence f,
+    and the pair variances, hence the next step's matrix and, at the root,
+    ``v_hat_diag``.
 
     For q = 2 and 3 the iteration starts from the one-class roots
     (``_one_class_roots``), the solution if every node shared its class's
@@ -155,10 +176,10 @@ def solve(
 
     This is ``solve_many`` on a batch of one sequence.  There, many
     sequences take these steps together, each round the same step for all,
-    sharing each kernel pass and stacking equal-size LU solves; one that
-    needs a different step is solved again alone.  Every operation works
-    entry by entry or within one sequence, so the fit returned here is the
-    one the same d_bar gets in any batch, to the last bit.
+    sharing each kernel pass and stacking equal-size linear systems; one
+    that needs a different step is solved again alone.  Every operation
+    works entry by entry or within one sequence, so the fit returned here
+    is the one the same d_bar gets in any batch, to the last bit.
     """
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
@@ -178,9 +199,9 @@ def solve_many(
     Each sequence takes the steps ``solve`` describes, all of them on one
     shared schedule: each round every sequence still iterating takes a
     diagonal step while the batch has one left, else a Newton step of one
-    common length (its LU solve stacked with those of the other sequences
-    with as many classes), halved when every sequence rejects it.  The
-    classes of all of them are laid out side by side, pairs joining
+    common length (its linear system stacked with those of the other
+    sequences with as many classes), halved when every sequence rejects
+    it.  The classes of all of them are laid out side by side, pairs joining
     classes of one sequence only, so the round evaluates every point in
     one kernel pass and one bincount per node sum, and takes each
     sequence's sup norm as the maximum over its own classes.  A sequence
@@ -192,9 +213,10 @@ def solve_many(
     A sequence's result does not depend on the others in its batch, to the
     last bit: the kernel and its sums over weight classes work entry by
     entry, a bincount adds a class's pairs in the order one sequence lays
-    them out, and a stacked LU solve factors each matrix as a single one
-    would.  Systems are never padded to a common size, which would change
-    the LU result.
+    them out, a stacked LU solve factors each matrix as a single one
+    would, and conjugate gradients work within each system of a stack and
+    stop each on its own residual.  Systems are never padded to a common
+    size, which would change the LU result.
     """
     q, max_iter = _check_q(q), _integer(max_iter, "max_iter", 0)
     D = np.asarray(D, dtype=float)
@@ -333,10 +355,8 @@ def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
                     pair_idx = pair_starts[group][:, None] + np.arange(pairs)
                     var_rows = var[np.concatenate((pair_idx, own_idx), axis=1)]
                 jac = _class_jacobian(cls.c[idx], var_rows, cells[k])
-                try:
-                    delta[idx] = np.linalg.solve(jac, rhs[idx][..., None])[..., 0]
-                except np.linalg.LinAlgError:  # raised for the whole stack
-                    delta[idx] = np.nan
+                by = _conjugate_gradients if k >= _CG_CLASSES else _lu
+                delta[idx] = by(jac, rhs[idx])
                 del jac  # K-by-K: not to be held through the next kernel pass
             leave = ~np.logical_and.reduceat(np.isfinite(delta), starts)
 
@@ -351,6 +371,66 @@ def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
             diagonal = 0
         else:
             step *= 0.5
+
+
+def _lu(jac, b):
+    """The solutions x[r] of jac[r] x = b[r] for an (m, k, k) stack, by LU;
+    all NaN if any matrix of the stack is singular."""
+    try:
+        return np.linalg.solve(jac, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole stack
+        return np.full_like(b, np.nan)
+
+
+def _conjugate_gradients(jac, b):
+    """The solutions x[r] of jac[r] x = b[r] for an (m, k, k) stack of class
+    Jacobians, by preconditioned conjugate gradients, or by ``_lu`` for the
+    rows they leave unsolved.
+
+    The preconditioner is V^-1 ~ diag(1 / v_ii) less a constant (Yan & Xu
+    2013): z = M^-1 r = r / J_aa - gamma sum(r), with gamma =
+    (1 - tr J / 1'J1) / tr J.  M is then the diagonal of J plus a rank-one
+    term w J_aa J_bb whose weight makes 1'M1 = 1'J1, and the spectrum of
+    M^-1 J lies near 1 (within [0.92, 1.01] at n = 1000), so a row takes
+    some six steps.  A row is solved once ||r|| <= _CG_TOL ||b||, and its x
+    is frozen from then on; one that meets p'Jp <= 0 or a non-finite value,
+    or is still going after ``_CG_STEPS`` steps, is left unsolved.  Every
+    operation works within one row (a stacked matmul, sums along the last
+    axis, the stacked LU of the unsolved rows), so a row's x does not
+    depend on the others in the stack.
+    """
+    m, k = b.shape
+    diag = jac.reshape(m, k * k)[:, :: k + 1].copy()
+    trace = diag.sum(axis=1)
+    gamma = (1.0 - trace / jac.sum(axis=2).sum(axis=1)) / trace
+    inv = 1.0 / diag
+
+    def precondition(r):
+        return r * inv - (gamma * r.sum(axis=1))[:, None]
+
+    x, r = np.zeros_like(b), b
+    p = z = precondition(r)
+    rz = (r * z).sum(axis=1)
+    stop = _CG_TOL**2 * (b * b).sum(axis=1)
+    done, going = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+    for _ in range(_CG_STEPS):
+        jp = np.matmul(jac, p[..., None])[..., 0]
+        pjp = (p * jp).sum(axis=1)
+        going &= (pjp > 0.0) & (pjp < np.inf)
+        a = (rz / pjp)[:, None]
+        x = np.where(going[:, None], x + a * p, x)  # only x is kept frozen
+        r = r - a * jp
+        z = precondition(r)
+        rz, rz_last = (r * z).sum(axis=1), rz
+        p = z + (rz / rz_last)[:, None] * p
+        done |= going & ((r * r).sum(axis=1) <= stop)
+        going &= ~done
+        if not going.any():
+            break
+    lu = ~(done & np.isfinite(x).all(axis=1))
+    if lu.any():
+        x[lu] = _lu(jac[lu], b[lu])
+    return x
 
 
 def _outside_polytope(d, counts, node_class, q: int) -> np.ndarray:
@@ -386,17 +466,22 @@ def _one_class_roots(d: np.ndarray, n: int, q: int) -> np.ndarray:
     x = 2m / ((1-m) + sqrt((1-m)^2 + 4(q-2)(2-m)m)), a form with no
     cancellation.  Above the midpoint m > (q-1)/2 the symmetry
     E(a | -s) = (q-1) - E(a | s) maps the root to that of (q-1) - m, so
-    nothing cancels near the upper end either.  For q >= 4 this returns
-    zeros.
+    nothing cancels near the upper end either.  Where x underflows to 0
+    (a degree below about (n-1) 5e-324 from an end), its log is taken in
+    parts, log 2 + log d - log(n-1) - log((1-m) + sqrt(...)).  For q >= 4
+    this returns zeros.
     """
     if q > 3:
         return np.zeros(d.shape[0])
     dmax = (n - 1) * (q - 1)
     upper = 2.0 * d > dmax
-    m = np.where(upper, dmax - d, d) / (n - 1)
-    root = np.sqrt((1.0 - m) ** 2 + 4.0 * (q - 2) * (2.0 - m) * m)
-    x = 2.0 * m / ((1.0 - m) + root)
-    return np.where(upper, -0.5, 0.5) * np.log(x)
+    e = np.where(upper, dmax - d, d)
+    m = e / (n - 1)
+    den = (1.0 - m) + np.sqrt((1.0 - m) ** 2 + 4.0 * (q - 2) * (2.0 - m) * m)
+    x = 2.0 * m / den
+    log_x = np.log(2.0 * e) - np.log((n - 1) * den)
+    np.log(x, out=log_x, where=x > 0.0)
+    return np.where(upper, -0.5, 0.5) * log_x
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,18 @@ class TestDegreeClasses:
         assert oracle is not None
         assert np.max(np.abs(fit.alpha_hat - oracle)) < 1e-8
 
+    def test_degree_below_the_smallest_double_over_n(self):
+        # m = d / (n-1) underflows to 0 for d = 5e-324, and so does the
+        # one-class x = 2m / (...); its log, taken in parts, is the finite
+        # 0.5 log(d / (n-1)), and the fit converges as it does for 1e-300
+        d_bar = np.array([5e-324, 1.0, 1.0, 1.0, 2.0])
+        start = estimator._one_class_roots(np.unique(d_bar), 5, 3)
+        assert start[0] == pytest.approx(0.5 * (math.log(5e-324) - math.log(4)))
+        assert np.all(np.isfinite(start))
+        fit = solve(d_bar, 3)
+        assert fit.status == "converged" and np.isfinite(fit.residual_inf)
+        assert fit.iterations == solve([1e-300, 1.0, 1.0, 1.0, 2.0], 3).iterations
+
     def test_zero_start_converges_for_larger_q(self):
         # q >= 4 has no closed-form start; the iteration starts from zero
         q = 5
@@ -334,17 +346,17 @@ class TestDegreeClasses:
 
     def test_diagonal_steps_spare_linear_solves(self, monkeypatch):
         # one study replication at n = 1000, q = 3, L = sqrt(log n): two
-        # diagonal steps from the one-class start leave four LU solves, not
-        # six, and each kept diagonal step counts as an iteration
+        # diagonal steps from the one-class start leave four Newton systems
+        # to build and solve, not six, and each kept diagonal step counts as
+        # an iteration
         alpha_star, mechanism = _study_setup("sqrtlog", "fixed:2", 1000)
         calls = []
-        lu = np.linalg.solve
 
-        def counted(a, b):
+        def counted(c, var, cells):
             calls.append(1)
-            return lu(a, b)
+            return model._class_jacobian(c, var, cells)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(estimator, "_class_jacobian", counted)
         fit = solve(_noisy_degrees(alpha_star, 3, mechanism, child_seed(0, 1000, 0)), 3)
         assert fit.converged
         assert len(calls) <= 4
@@ -409,31 +421,60 @@ class TestSolveMany:
     """Sequences solved together on one shared schedule give each the fit
     it gets alone, to the last bit."""
 
-    @settings(max_examples=60)
+    @settings(max_examples=80)
     @given(
         degree_batches(),
         st.sampled_from([0, 1, 2, 200]),
         st.sampled_from([1e-10, 1e-300]),
         st.booleans(),
+        st.sampled_from([None, 3, estimator._CG_STEPS]),
     )
     # tol = 1e-300 is rarely met, so steps are halved down to _MIN_STEP: the
     # first row is diverged after 7 steps; the second leaves the batch at
     # its first diagonal step
-    @example((np.array([[3, 2, 4, 4], [2, 1, 3, 1]]), 3), 200, 1e-300, False)
+    @example((np.array([[3, 2, 4, 4], [2, 1, 3, 1]]), 3), 200, 1e-300, False, None)
+    @example(
+        (np.array([[3, 2, 4, 4], [2, 1, 3, 1]]), 3),
+        200,
+        1e-300,
+        False,
+        estimator._CG_STEPS,
+    )
     # `singular` makes every system of an odd class count singular: the
     # first two rows (5 classes) leave the batch at their stacked LU solve
-    # and fail alone, the third (4 classes) converges in the batch
+    # (by conjugate gradients, p'Jp is NaN, so they fall back to it) and
+    # fail alone, the third (4 classes) converges in the batch
     @example(
         (np.array([[2, 3, 4, 5, 6], [2, 3, 4, 5, 7], [3, 3, 4, 5, 6]]), 3),
         200,
         1e-10,
         True,
+        None,
     )
-    def test_each_fit_is_its_solo_fit(self, case, max_iter, tol, singular):
+    @example(
+        (np.array([[2, 3, 4, 5, 6], [2, 3, 4, 5, 7], [3, 3, 4, 5, 6]]), 3),
+        200,
+        1e-10,
+        True,
+        estimator._CG_STEPS,
+    )
+    # in three CG steps the first row (symmetric about the middle of its
+    # range) is solved and frozen while the second goes on, then falls back
+    # to LU alone
+    @example(
+        (np.array([[2, 3, 4, 5, 6], [2, 3, 4, 5, 7]]), 3), 200, 1e-10, False, 3
+    )
+    def test_each_fit_is_its_solo_fit(self, case, max_iter, tol, singular, cg_steps):
+        # with cg_steps, every system of two or more classes is solved by
+        # conjugate gradients within that many steps, or else by LU; with 3,
+        # the rows of one stack often split between the two
         d_bars, q = case
         with pytest.MonkeyPatch.context() as mp:
             if singular:
                 mp.setattr(estimator, "_class_jacobian", _singular_if_odd)
+            if cg_steps is not None:
+                mp.setattr(estimator, "_CG_CLASSES", 2)
+                mp.setattr(estimator, "_CG_STEPS", cg_steps)
             fits = solve_many(d_bars, q, tol, max_iter)
             solo = [solve(d_bar, q, tol, max_iter) for d_bar in d_bars]
         assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
@@ -465,6 +506,57 @@ class TestSolveMany:
         fits = solve_many(d_bars, 3)
         assert [fit.to_dict() for fit in fits] == [solve(d, 3).to_dict() for d in d_bars]
         assert [(fit.status, fit.iterations) for fit in fits] == [("converged", 6)] * 2
+
+    @settings(max_examples=60)
+    @given(degree_batches())
+    def test_conjugate_gradients_agree_with_lu(self, case):
+        # the two ways to a Newton direction differ by rounding only
+        d_bars, q = case
+        lu = solve_many(d_bars, q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_CG_CLASSES", 2)
+            cg = solve_many(d_bars, q)
+        for a, b in zip(lu, cg):
+            assert (a.status, a.iterations) == (b.status, b.iterations)
+            if a.converged:
+                np.testing.assert_allclose(b.alpha_hat, a.alpha_hat, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(b.v_hat_diag, a.v_hat_diag, rtol=1e-10)
+
+    @settings(max_examples=20)
+    @given(degree_batches())
+    def test_rows_conjugate_gradients_leave_unsolved_take_lu(self, case):
+        # with no CG step allowed every row falls back to the stacked LU.
+        # (One step is not enough to force that: a d_bar symmetric about
+        # the middle of its range, such as [1, 2, 3] at q = 3, gives an
+        # eigenvector right-hand side, which one step solves.)
+        d_bars, q = case
+        lu = solve_many(d_bars, q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_CG_CLASSES", 2)
+            mp.setattr(estimator, "_CG_STEPS", 0)
+            fallback = solve_many(d_bars, q)
+        assert [fit.to_dict() for fit in fallback] == [fit.to_dict() for fit in lu]
+
+    def test_many_classes_take_conjugate_gradients(self, monkeypatch):
+        # two sequences of 150 distinct degrees, over _CG_CLASSES: their
+        # Newton directions come from one stack of conjugate gradients, no
+        # LU runs, and each fit is its solo fit to the last bit
+        rng = np.random.default_rng(19)
+        d_bars = np.array([expected_degrees(rng.uniform(-1, 1, 150), 3) for _ in range(2)])
+        assert min(np.unique(d).size for d in d_bars) >= estimator._CG_CLASSES
+        calls = []
+        lu = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(1)
+            return lu(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        fits = solve_many(d_bars, 3)
+        solo = [solve(d, 3) for d in d_bars]
+        assert calls == []
+        assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
+        assert all(fit.converged and fit.iterations > estimator._DIAGONAL_STEPS for fit in fits)
 
     def test_empty_batch_and_bad_shapes(self):
         assert solve_many(np.empty((0, 4)), 3) == []
