@@ -329,8 +329,8 @@ def _cmd_generate(args) -> int:
 def _cmd_release(args) -> int:
     args.seed = _seed(args)
     graph = parse_edge_list(args.input, args.q, n=args.n)
-    _check_theory_floor(args.eps, graph.n)
     mechanism = calibrate(args.eps, kind=args.kind, skew_ratio=args.skew_ratio)
+    _check_theory_floor(args.eps, graph.n)
     release = release_degrees(graph.degrees(), mechanism, seed=args.seed, q=args.q)
     out = Path(args.out)
     out.write_text(release.to_json(debug=args.debug_noise) + "\n", encoding="utf-8")

@@ -36,14 +36,14 @@ Many sequences of one length, such as the replications of a study, are
 solved together (``solve_many``): they move on one shared schedule, every
 sequence taking the same kind and length of step each round, so a round
 evaluates all their points in one kernel pass over their classes laid
-side by side and stacks the linear systems of equal size.  At
+side by side; each sequence then solves its own Newton system.  At
 n = 100 a sequence has some 40 classes, so a solve alone costs mostly
-numpy call overhead, which a round shares.  A sequence that cannot keep to
-the schedule (its step rejected while a batch-mate's is accepted, or its
-Newton system singular) leaves the batch and is solved again alone.  Every
-operation on the shared arrays works entry by entry or within one
-sequence's entries, so a sequence's result is bit-identical to solving it
-alone, whatever its batch-mates.  ``solve`` is the batch of one.
+numpy call overhead, which a round's kernel pass shares.  A sequence that
+cannot keep to the schedule (its step rejected while a batch-mate's is
+accepted, or its Newton system singular) leaves the batch and is solved
+again alone.  Every operation on the shared arrays works entry by entry
+or within one sequence's entries, so a sequence's result is bit-identical
+to solving it alone, whatever its batch-mates.  ``solve`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ _MIN_STEP = 2.0**-40
 _DIAGONAL_STEPS = 2
 # Newton systems of at least this many classes are solved by conjugate
 # gradients, smaller ones by LU.  A CG step is a dozen numpy calls, so a
-# direction costs some 0.2-0.4 ms by CG from K = 40 to 318, while by LU
-# it grows from ~0.03 to ~1.2 ms: they cross near K = 128 for one system
-# (nearer 96 in a stack of four).
+# direction costs some 0.1-0.25 ms by CG from K = 40 to 318, while by LU
+# it grows from ~0.02 to ~1.2 ms: they cross between K = 96 and 128.
 _CG_CLASSES = 128
 # A CG system is solved once ||r|| <= _CG_TOL ||b||; one not solved within
 # _CG_STEPS steps goes to LU.  Study replications up to n = 2000 take 5-7
@@ -176,10 +175,10 @@ def solve(
 
     This is ``solve_many`` on a batch of one sequence.  There, many
     sequences take these steps together, each round the same step for all,
-    sharing each kernel pass and stacking equal-size linear systems; one
-    that needs a different step is solved again alone.  Every operation
-    works entry by entry or within one sequence, so the fit returned here
-    is the one the same d_bar gets in any batch, to the last bit.
+    sharing each kernel pass, each solving its own linear system; one that
+    needs a different step is solved again alone.  Every operation works
+    entry by entry or within one sequence, so the fit returned here is the
+    one the same d_bar gets in any batch, to the last bit.
     """
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
@@ -199,24 +198,21 @@ def solve_many(
     Each sequence takes the steps ``solve`` describes, all of them on one
     shared schedule: each round every sequence still iterating takes a
     diagonal step while the batch has one left, else a Newton step of one
-    common length (its linear system stacked with those of the other
-    sequences with as many classes), halved when every sequence rejects
-    it.  The classes of all of them are laid out side by side, pairs joining
-    classes of one sequence only, so the round evaluates every point in
-    one kernel pass and one bincount per node sum, and takes each
-    sequence's sup norm as the maximum over its own classes.  A sequence
-    that converges or fails leaves the layout, and so does one that cannot
-    keep to the schedule: its step rejected while a batch-mate's is
-    accepted, or its Newton direction singular or non-finite.  That one is
-    solved again alone, where it is the whole batch and so keeps to it.
+    common length, halved when every sequence rejects it.  The classes of
+    all of them are laid out side by side, pairs joining classes of one
+    sequence only, so the round evaluates every point in one kernel pass
+    and one bincount per node sum, and takes each sequence's sup norm as
+    the maximum over its own classes.  A sequence that converges or fails
+    leaves the layout, and so does one that cannot keep to the schedule:
+    its step rejected while a batch-mate's is accepted, or its Newton
+    direction singular or non-finite.  That one is solved again alone,
+    where it is the whole batch and so keeps to it.
 
     A sequence's result does not depend on the others in its batch, to the
     last bit: the kernel and its sums over weight classes work entry by
     entry, a bincount adds a class's pairs in the order one sequence lays
-    them out, a stacked LU solve factors each matrix as a single one
-    would, and conjugate gradients work within each system of a stack and
-    stop each on its own residual.  Systems are never padded to a common
-    size, which would change the LU result.
+    them out, and each Newton system is built from that sequence's own
+    classes and pairs and solved on its own.
     """
     q, max_iter = _check_q(q), _integer(max_iter, "max_iter", 0)
     D = np.asarray(D, dtype=float)
@@ -277,7 +273,9 @@ def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
     the layout as one that converged does; alone, it is the batch, so it
     never leaves, and a singular direction ends it.  The point beta, the
     residual f and the direction lie per class in the shared arrays, the
-    variances of the last accepted pass per pair.
+    variances of the last accepted pass per pair: each sequence's class
+    pairs side by side, then every class's own pair.  A Newton direction is
+    one K-by-K system per sequence, built from its slices of those arrays.
     """
     live = list(range(len(sizes)))
 
@@ -341,22 +339,16 @@ def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
 
         if not diagonal and step == 1.0:  # not halving: a new Newton direction
             rhs = cls.c * f
-            for k in sorted(set(sizes)):
-                group = [r for r in range(len(live)) if sizes[r] == k]
-                idx = starts[group][:, None] + np.arange(k)
-                pairs = k * (k - 1) // 2
+            for r, k in enumerate(sizes):
+                at = slice(starts[r], starts[r] + k)
+                pairs = slice(pair_starts[r], pair_starts[r] + k * (k - 1) // 2)
                 if k not in cells:
-                    first = slice(pair_starts[group[0]], pair_starts[group[0]] + pairs)
-                    cells[k] = cls.iu[first] * k + cls.ju[first] - idx[0, 0] * (k + 1)
-                if len(live) == 1:  # the whole layout is this sequence's
-                    var_rows = var[None]
-                else:
-                    own_idx = var.shape[0] - cls.k + idx
-                    pair_idx = pair_starts[group][:, None] + np.arange(pairs)
-                    var_rows = var[np.concatenate((pair_idx, own_idx), axis=1)]
-                jac = _class_jacobian(cls.c[idx], var_rows, cells[k])
+                    cells[k] = cls.iu[pairs] * k + cls.ju[pairs] - starts[r] * (k + 1)
+                own = var[-cls.k :][at]  # every class's own pair follows all pairs
+                var_r = np.concatenate((var[pairs], own))
+                jac = _class_jacobian(cls.c[at], var_r, cells[k])
                 by = _conjugate_gradients if k >= _CG_CLASSES else _lu
-                delta[idx] = by(jac, rhs[idx])
+                delta[at] = by(jac, rhs[at])
                 del jac  # K-by-K: not to be held through the next kernel pass
             leave = ~np.logical_and.reduceat(np.isfinite(delta), starts)
 
@@ -374,63 +366,52 @@ def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
 
 
 def _lu(jac, b):
-    """The solutions x[r] of jac[r] x = b[r] for an (m, k, k) stack, by LU;
-    all NaN if any matrix of the stack is singular."""
+    """The solution x of jac x = b, by LU; all NaN if jac is singular."""
     try:
-        return np.linalg.solve(jac, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # raised for the whole stack
+        return np.linalg.solve(jac, b)
+    except np.linalg.LinAlgError:
         return np.full_like(b, np.nan)
 
 
 def _conjugate_gradients(jac, b):
-    """The solutions x[r] of jac[r] x = b[r] for an (m, k, k) stack of class
-    Jacobians, by preconditioned conjugate gradients, or by ``_lu`` for the
-    rows they leave unsolved.
+    """The solution x of jac x = b for a class Jacobian, by preconditioned
+    conjugate gradients, or by ``_lu`` if they leave it unsolved.
 
     The preconditioner is V^-1 ~ diag(1 / v_ii) less a constant (Yan & Xu
     2013): z = M^-1 r = r / J_aa - gamma sum(r), with gamma =
     (1 - tr J / 1'J1) / tr J.  M is then the diagonal of J plus a rank-one
     term w J_aa J_bb whose weight makes 1'M1 = 1'J1, and the spectrum of
-    M^-1 J lies near 1 (within [0.92, 1.01] at n = 1000), so a row takes
-    some six steps.  A row is solved once ||r|| <= _CG_TOL ||b||, and its x
-    is frozen from then on; one that meets p'Jp <= 0 or a non-finite value,
-    or is still going after ``_CG_STEPS`` steps, is left unsolved.  Every
-    operation works within one row (a stacked matmul, sums along the last
-    axis, the stacked LU of the unsolved rows), so a row's x does not
-    depend on the others in the stack.
+    M^-1 J lies near 1 (within [0.92, 1.01] at n = 1000), so a system takes
+    some six steps.  It is solved once ||r|| <= _CG_TOL ||b||; one that
+    meets p'Jp <= 0 or a non-finite value, or is still unsolved after
+    ``_CG_STEPS`` steps, goes to LU.
     """
-    m, k = b.shape
-    diag = jac.reshape(m, k * k)[:, :: k + 1].copy()
-    trace = diag.sum(axis=1)
-    gamma = (1.0 - trace / jac.sum(axis=2).sum(axis=1)) / trace
+    diag = jac.diagonal()
+    trace = diag.sum()
+    gamma = (1.0 - trace / jac.sum(axis=1).sum()) / trace
     inv = 1.0 / diag
 
     def precondition(r):
-        return r * inv - (gamma * r.sum(axis=1))[:, None]
+        return r * inv - gamma * r.sum()
 
     x, r = np.zeros_like(b), b
     p = z = precondition(r)
-    rz = (r * z).sum(axis=1)
-    stop = _CG_TOL**2 * (b * b).sum(axis=1)
-    done, going = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+    rz = (r * z).sum()
+    stop = _CG_TOL**2 * (b * b).sum()
     for _ in range(_CG_STEPS):
-        jp = np.matmul(jac, p[..., None])[..., 0]
-        pjp = (p * jp).sum(axis=1)
-        going &= (pjp > 0.0) & (pjp < np.inf)
-        a = (rz / pjp)[:, None]
-        x = np.where(going[:, None], x + a * p, x)  # only x is kept frozen
-        r = r - a * jp
-        z = precondition(r)
-        rz, rz_last = (r * z).sum(axis=1), rz
-        p = z + (rz / rz_last)[:, None] * p
-        done |= going & ((r * r).sum(axis=1) <= stop)
-        going &= ~done
-        if not going.any():
+        jp = jac @ p
+        pjp = (p * jp).sum()
+        if not 0.0 < pjp < np.inf:
             break
-    lu = ~(done & np.isfinite(x).all(axis=1))
-    if lu.any():
-        x[lu] = _lu(jac[lu], b[lu])
-    return x
+        a = rz / pjp
+        x = x + a * p
+        r = r - a * jp
+        if (r * r).sum() <= stop and np.isfinite(x).all():
+            return x
+        z = precondition(r)
+        rz, rz_last = (r * z).sum(), rz
+        p = z + (rz / rz_last) * p
+    return _lu(jac, b)
 
 
 def _outside_polytope(d, counts, node_class, q: int) -> np.ndarray:

@@ -88,7 +88,8 @@ def calibrate(
         parameter by ``skew_ratio`` = lam / mu.
     skew_ratio:
         Required for kind="skew"; must be > 0 and must not push the larger
-        parameter to 1 or above.
+        parameter to 1 or above.  Given with kind="symmetric", it raises
+        CalibrationError.
     """
     if isinstance(epsilon, (bool, np.bool_)):  # float(True) would calibrate eps = 1
         raise CalibrationError(f"epsilon must be a number, got {epsilon!r}.")
@@ -104,6 +105,10 @@ def calibrate(
         )
 
     if kind == "symmetric":
+        if skew_ratio is not None:
+            raise CalibrationError(
+                "skew_ratio applies to kind='skew' only; symmetric noise has lam = mu."
+            )
         return NoiseMechanism("symmetric", base, base, epsilon, sensitivity)
     if kind != "skew":
         raise CalibrationError(f"unknown mechanism kind {kind!r}.")

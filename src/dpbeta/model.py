@@ -404,25 +404,24 @@ def _node_sums(cls: _Classes, x: np.ndarray) -> np.ndarray:
 
 
 def _class_jacobian(c: np.ndarray, var: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The k-by-k class Jacobians P^T V P of m sequences of k classes each,
-    stacked (m, k, k), from their multiplicities c (m, k) and the rows var
-    (m, k(k-1)/2 + k) of pair variances that ``_moments`` gives for one
-    sequence; cells holds the indices a*k + b of the class pairs a < b in
-    a k-by-k matrix.  V is the node-level ``degree_jacobian`` and P the
-    n-by-k class-indicator matrix: entry (a, b) is c_a c_b v_ab off the
-    diagonal and c_a v_ii + c_a (c_a - 1) v_aa on it."""
-    m, k = c.shape
-    pair, own = var[:, :-k], var[:, -k:]
+    """The k-by-k class Jacobian P^T V P of one sequence of k classes, from
+    its multiplicities c (k,) and the pair variances var (k(k-1)/2 + k,)
+    that ``_moments`` gives for it; cells holds the indices a*k + b of the
+    class pairs a < b in a k-by-k matrix.  V is the node-level
+    ``degree_jacobian`` and P the n-by-k class-indicator matrix: entry
+    (a, b) is c_a c_b v_ab off the diagonal and c_a v_ii + c_a (c_a - 1)
+    v_aa on it."""
+    k = c.shape[0]
+    pair, own = var[:-k], var[-k:]
     c_own = c - 1.0
-    v = np.zeros((m, k * k))
-    for row, x in zip(v, pair):  # a 1-d scatter per row is the faster
-        row[cells] = x
-    v = v.reshape(m, k, k)
-    v = v + v.transpose(0, 2, 1)  # x + 0 is exact: the symmetric pair variances
-    v *= c[:, None, :]
-    v_ii = v.sum(axis=2) + c_own * own
-    v *= c[:, :, None]
-    v.reshape(m, k * k)[:, :: k + 1] = c * (v_ii + c_own * own)
+    v = np.zeros(k * k)
+    v[cells] = pair
+    v = v.reshape(k, k)
+    v = v + v.T  # x + 0 is exact: the symmetric pair variances
+    v *= c
+    v_ii = v.sum(axis=1) + c_own * own
+    v *= c[:, None]
+    v.reshape(k * k)[:: k + 1] = c * (v_ii + c_own * own)
     return v
 
 
@@ -445,4 +444,4 @@ def degree_jacobian(alpha, q: int) -> np.ndarray:
     n = a.shape[0]
     cls = _classes(np.ones(n))
     var = _moments(a, q, cls)[1]
-    return _class_jacobian(cls.c[None], var[None], cls.iu * n + cls.ju)[0]
+    return _class_jacobian(cls.c, var, cls.iu * n + cls.ju)

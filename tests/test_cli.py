@@ -756,6 +756,34 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["release", "--input", "{zebra}", "--q", "3", "--eps", "2",
+             "--out", "{out}"],
+            ["dpcheck", "--eps", "2", "--window", "30"],
+        ],
+        ids=["release", "dpcheck"],
+    )
+    def test_skew_ratio_without_skew_kind_is_usage(
+        self, tmp_path, zebra_path, capsys, command
+    ):
+        out = tmp_path / "rel.json"
+        argv = [a.format(zebra=zebra_path, out=out) for a in command]
+        assert main(argv + ["--skew-ratio", "0.5"]) == 1
+        assert "skew_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_release_bad_epsilon_prints_only_the_error(self, tmp_path, zebra_path, capsys):
+        # epsilon is checked before the theory-floor note, which would
+        # otherwise compare a negative epsilon with the floor
+        out = tmp_path / "rel.json"
+        assert main(["release", "--input", str(zebra_path), "--q", "3",
+                     "--eps", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: epsilon must be finite and > 0, got -1.0."]
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["release", "--input", str(tmp_path / "none.txt"),
                      "--q", "3", "--eps", "1",

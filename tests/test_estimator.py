@@ -412,7 +412,7 @@ def _singular_if_odd(c, var, cells):
     """``model._class_jacobian`` with every system of an odd class count
     made singular."""
     jac = model._class_jacobian(c, var, cells)
-    if c.shape[1] % 2:
+    if c.shape[0] % 2:
         jac[:] = 0.0
     return jac
 
@@ -441,7 +441,7 @@ class TestSolveMany:
         estimator._CG_STEPS,
     )
     # `singular` makes every system of an odd class count singular: the
-    # first two rows (5 classes) leave the batch at their stacked LU solve
+    # first two rows (5 classes) leave the batch at their LU solve
     # (by conjugate gradients, p'Jp is NaN, so they fall back to it) and
     # fail alone, the third (4 classes) converges in the batch
     @example(
@@ -459,15 +459,14 @@ class TestSolveMany:
         estimator._CG_STEPS,
     )
     # in three CG steps the first row (symmetric about the middle of its
-    # range) is solved and frozen while the second goes on, then falls back
-    # to LU alone
+    # range) is solved, while the second is not and falls back to LU
     @example(
         (np.array([[2, 3, 4, 5, 6], [2, 3, 4, 5, 7]]), 3), 200, 1e-10, False, 3
     )
     def test_each_fit_is_its_solo_fit(self, case, max_iter, tol, singular, cg_steps):
         # with cg_steps, every system of two or more classes is solved by
         # conjugate gradients within that many steps, or else by LU; with 3,
-        # the rows of one stack often split between the two
+        # the rows of one batch often split between the two
         d_bars, q = case
         with pytest.MonkeyPatch.context() as mp:
             if singular:
@@ -507,6 +506,35 @@ class TestSolveMany:
         assert [fit.to_dict() for fit in fits] == [solve(d, 3).to_dict() for d in d_bars]
         assert [(fit.status, fit.iterations) for fit in fits] == [("converged", 6)] * 2
 
+    def test_singular_system_sends_only_its_sequence_alone(self, monkeypatch):
+        # two sequences of four classes; the Newton system of the one whose
+        # first class holds two nodes is zeroed.  Only that sequence leaves
+        # the batch (and fails alone); its batch-mate converges in it
+        d_bars = np.array([[2, 2, 3, 4, 5], [2, 3, 4, 5, 5]], dtype=float)
+        jacobian, iterate = estimator._class_jacobian, estimator._iterate
+
+        def zeroed(c, var, cells):
+            jac = jacobian(c, var, cells)
+            if c[0] == 2:
+                jac[:] = 0.0
+            return jac
+
+        left = []
+
+        def counted(*args):
+            for r, fit in iterate(*args):
+                if fit is None:
+                    left.append(r)
+                yield r, fit
+
+        monkeypatch.setattr(estimator, "_class_jacobian", zeroed)
+        monkeypatch.setattr(estimator, "_iterate", counted)
+        fits = solve_many(d_bars, 3)
+        assert left == [0]
+        solo = [solve(d_bar, 3) for d_bar in d_bars]
+        assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
+        assert [fit.status for fit in fits] == ["nonexistent_diverged", "converged"]
+
     @settings(max_examples=60)
     @given(degree_batches())
     def test_conjugate_gradients_agree_with_lu(self, case):
@@ -525,7 +553,7 @@ class TestSolveMany:
     @settings(max_examples=20)
     @given(degree_batches())
     def test_rows_conjugate_gradients_leave_unsolved_take_lu(self, case):
-        # with no CG step allowed every row falls back to the stacked LU.
+        # with no CG step allowed every row falls back to LU.
         # (One step is not enough to force that: a d_bar symmetric about
         # the middle of its range, such as [1, 2, 3] at q = 3, gives an
         # eigenvector right-hand side, which one step solves.)
@@ -539,8 +567,8 @@ class TestSolveMany:
 
     def test_many_classes_take_conjugate_gradients(self, monkeypatch):
         # two sequences of 150 distinct degrees, over _CG_CLASSES: their
-        # Newton directions come from one stack of conjugate gradients, no
-        # LU runs, and each fit is its solo fit to the last bit
+        # Newton directions come from conjugate gradients, no LU runs, and
+        # each fit is its solo fit to the last bit
         rng = np.random.default_rng(19)
         d_bars = np.array([expected_degrees(rng.uniform(-1, 1, 150), 3) for _ in range(2)])
         assert min(np.unique(d).size for d in d_bars) >= estimator._CG_CLASSES

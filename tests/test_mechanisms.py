@@ -45,6 +45,13 @@ class TestCalibrate:
         assert m.lam == pytest.approx(math.exp(-1), abs=1e-15)
         assert m.mu == pytest.approx(2 * math.exp(-1), abs=1e-15)
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    def test_skew_ratio_with_symmetric_kind_fails(self, ratio):
+        # not ignored: symmetric noise released under an asked-for ratio
+        # would not be the mechanism the caller named
+        with pytest.raises(CalibrationError, match="skew_ratio"):
+            calibrate(2.0, 2, kind="symmetric", skew_ratio=ratio)
+
     def test_skew_ratio_pushing_param_past_one_fails(self):
         with pytest.raises(CalibrationError):
             calibrate(0.1, 2, kind="skew", skew_ratio=10.0)

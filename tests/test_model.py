@@ -451,8 +451,8 @@ class TestDegreeClasses:
             first = np.searchsorted(node_class, np.arange(k))
             cls = model._classes(counts)
             mean, var = model._moments(beta, q, cls)
-            jac = model._class_jacobian(cls.c[None], var[None], cls.iu * k + cls.ju)
-            np.testing.assert_allclose(jac[0], p.T @ v @ p, rtol=1e-12, atol=0)
+            jac = model._class_jacobian(cls.c, var, cls.iu * k + cls.ju)
+            np.testing.assert_allclose(jac, p.T @ v @ p, rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 model._node_sums(cls, mean),
                 expected_degrees(alpha, q)[first],
