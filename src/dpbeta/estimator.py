@@ -33,17 +33,17 @@ decided before iterating; an iteration that fails (singular system or
 budget spent) had a root to find.  Both are reported as data, not raised.
 
 Many sequences of one length, such as the replications of a study, are
-solved together (``solve_many``): they move on one shared schedule, every
-sequence taking the same kind and length of step each round, so a round
-evaluates all their points in one kernel pass over their classes laid
+solved together (``solve_many``): they move in groups, every sequence of a
+group taking the same kind and length of step each round, so a round
+evaluates the group's points in one kernel pass over their classes laid
 side by side; each sequence then solves its own Newton system.  At
 n = 100 a sequence has some 40 classes, so a solve alone costs mostly
-numpy call overhead, which a round's kernel pass shares.  A sequence that
-cannot keep to the schedule (its step rejected while a batch-mate's is
-accepted, or its Newton system singular) leaves the batch and is solved
-again alone.  Every operation on the shared arrays works entry by entry
-or within one sequence's entries, so a sequence's result is bit-identical
-to solving it alone, whatever its batch-mates.  ``solve`` is the batch of one.
+numpy call overhead, which a round's kernel pass shares.  Where some
+sequences of a group reject a step that the others accept, the group
+splits, and the rejecters go on from their last point as a group of their
+own.  Every operation on the shared arrays works entry by entry or within
+one sequence's entries, so a sequence's result is bit-identical to solving
+it alone, whatever its batch-mates.  ``solve`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -173,12 +173,12 @@ def solve(
     nodes outside (0, (n-1)(q-1)) if there are any, else the nodes S u T of
     the broken inequality (see ``_outside_polytope``) with the fewest nodes.
 
-    This is ``solve_many`` on a batch of one sequence.  There, many
-    sequences take these steps together, each round the same step for all,
-    sharing each kernel pass, each solving its own linear system; one that
-    needs a different step is solved again alone.  Every operation works
-    entry by entry or within one sequence, so the fit returned here is the
-    one the same d_bar gets in any batch, to the last bit.
+    This is ``solve_many`` on a batch of one sequence.  There, groups of
+    sequences take these steps together, sharing each kernel pass, each
+    solving its own linear system, and split where their steps are rejected
+    apart.  Every operation works entry by entry or within one sequence, so
+    the fit returned here is the one the same d_bar gets in any batch, to
+    the last bit.
     """
     d_bar = np.asarray(d_bar, dtype=float)
     if d_bar.ndim != 1 or d_bar.shape[0] < 2:
@@ -195,18 +195,18 @@ def solve_many(
     """``solve`` for each row of D, a (B, n) array of noisy degree
     sequences, iterated together; the fits come back in row order.
 
-    Each sequence takes the steps ``solve`` describes, all of them on one
-    shared schedule: each round every sequence still iterating takes a
-    diagonal step while the batch has one left, else a Newton step of one
-    common length, halved when every sequence rejects it.  The classes of
-    all of them are laid out side by side, pairs joining classes of one
-    sequence only, so the round evaluates every point in one kernel pass
+    Each sequence takes the steps ``solve`` describes, in groups on one
+    schedule each: each round every sequence of a group still iterating
+    takes a diagonal step while the group has one left, else a Newton step
+    of one common length, halved when every sequence rejects it.  The
+    classes of a group are laid out side by side, pairs joining classes of
+    one sequence only, so the round evaluates its points in one kernel pass
     and one bincount per node sum, and takes each sequence's sup norm as
-    the maximum over its own classes.  A sequence that converges or fails
-    leaves the layout, and so does one that cannot keep to the schedule:
-    its step rejected while a batch-mate's is accepted, or its Newton
-    direction singular or non-finite.  That one is solved again alone,
-    where it is the whole batch and so keeps to it.
+    the maximum over its own classes.  All sequences start as one group.
+    Where some reject a step that the others accept, the group splits: the
+    rejecters go on as a group of their own from their last point, with the
+    diagonal steps ended or the step halved, as each would alone.  A
+    sequence whose Newton direction is singular or non-finite ends there.
 
     A sequence's result does not depend on the others in its batch, to the
     last bit: the kernel and its sums over weight classes work entry by
@@ -244,125 +244,112 @@ def solve_many(
             node_class.append(inverse)
             counts.append(c)
     if rows:
-        sizes = [c.shape[0] for c in counts]
-        batch = np.concatenate(d_class), np.concatenate(counts), sizes, node_class
         # a candidate point can be non-finite: its residual is then NaN,
         # which rejects it, and the warnings say nothing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for r, fit in _iterate(*batch, n, q, tol, max_iter):
-                if fit is None:  # it left the shared schedule: solve it alone
-                    alone = d_class[r], counts[r], [sizes[r]], [node_class[r]]
-                    [(_, fit)] = _iterate(*alone, n, q, tol, max_iter)
+            for r, fit in _iterate(d_class, counts, node_class, n, q, tol, max_iter):
                 fits[rows[r]] = fit
     return fits
 
 
-def _iterate(d, counts, sizes, node_class, n, q, tol, max_iter):
+def _iterate(d, counts, node_class, n, q, tol, max_iter):
     """The rounds of ``solve_many`` over feasible sequences r = 0, 1, ...
-    with sizes[r] classes each, whose distinct degrees d and counts lie
-    side by side; yields (r, fit) as each one ends, or (r, None) if it left
-    the shared schedule and must be solved alone.
+    with distinct degrees d[r] and counts counts[r]; yields (r, fit) as
+    each one ends.
 
-    Every sequence in the layout takes the same step each round, so the
-    schedule is three numbers: the steps taken, the diagonal steps left and
-    the Newton step length.  A diagonal step rejected by every sequence
-    ends the diagonal steps; a Newton step, from a new direction after
-    each accepted step (step length 1), is halved while every sequence
-    rejects it.  A sequence whose step is rejected while a batch-mate's is
-    accepted, or whose Newton direction is singular or non-finite, leaves
-    the layout as one that converged does; alone, it is the batch, so it
-    never leaves, and a singular direction ends it.  The point beta, the
-    residual f and the direction lie per class in the shared arrays, the
-    variances of the last accepted pass per pair: each sequence's class
-    pairs side by side, then every class's own pair.  A Newton direction is
-    one K-by-K system per sequence, built from its slices of those arrays.
+    A group's schedule is three numbers: the steps taken, the diagonal steps
+    left and the Newton step length.  Its point lies in the layout of the
+    sequences it was evaluated for: per class the point beta, the residual
+    f and the direction, per pair the variances of that pass, each
+    sequence's class pairs side by side, then every class's own pair.  A
+    sequence that ends or splits off stays in that layout, masked out of
+    ``live``; the next candidate is laid out for the live sequences alone.
     """
-    live = list(range(len(sizes)))
 
-    def lay_out(counts):
-        """The class layout and where each sequence's classes and pairs
-        start in it."""
-        k = np.array(sizes)
+    def lay_out(seqs):
+        """The class layout of sequences seqs: their ids and numbers of
+        classes, the classes, the distinct degrees and where each one's
+        classes and pairs start."""
+        k = np.array([d[r].shape[0] for r in seqs])
         pairs = k * (k - 1) // 2
-        return _classes(counts, k), np.cumsum(k) - k, np.cumsum(pairs) - pairs
+        cls = _classes(np.concatenate([counts[r] for r in seqs]), k)
+        d_here = np.concatenate([d[r] for r in seqs])
+        return seqs, k, cls, d_here, np.cumsum(k) - k, np.cumsum(pairs) - pairs
 
-    cls, starts, pair_starts = lay_out(counts)
-
-    def evaluate(point):
-        """The residual, each sequence's sup norm and the pair variances
-        at a point, from one kernel pass; the norm is NaN at a non-finite
+    def evaluate(layout, point):
+        """The residual, each sequence's sup norm and the pair variances at
+        a point, from one kernel pass; the norm is NaN at a non-finite
         point, so no step reaches one."""
+        _, _, cls, d_here, starts, _ = layout
         mean, pair_var = _moments(point, q, cls)
-        r = d - _node_sums(cls, mean)
-        return r, np.maximum.reduceat(np.abs(r), starts), pair_var
+        f = d_here - _node_sums(cls, mean)
+        return f, np.maximum.reduceat(np.abs(f), starts), pair_var
 
-    beta = _one_class_roots(d, n, q)
-    f, fnorm, var = evaluate(beta)
-    iterations, diagonal, step = 0, _DIAGONAL_STEPS, 1.0
-    leave = np.zeros(len(live), dtype=bool)
-    delta = np.zeros(cls.k)
+    layout = lay_out(list(range(len(d))))
+    beta = _one_class_roots(np.concatenate(d), n, q)
+    f, fnorm, var = evaluate(layout, beta)
+    live, delta = np.ones(len(d), dtype=bool), np.zeros(beta.shape[0])
+    groups = [(layout, live, beta, f, fnorm, var, delta, 0, _DIAGONAL_STEPS, 1.0)]
     cells = {}  # per class count k, the cells a*k + b of its class pairs a < b
 
-    while True:
-        converged = fnorm <= tol  # a leaver's norm was rejected: above tol or NaN
-        ended = converged | leave | (iterations >= max_iter or step < _MIN_STEP)
-        if ended.any():
-            if converged.any():
-                v_hat = _node_sums(cls, var)
-            for r in np.flatnonzero(ended).tolist():
-                fit = None  # it left the schedule, unless it is the whole batch
-                if not (leave[r] and len(live) > 1):
-                    fit = FitResult(
-                        status=STATUS_CONVERGED if converged[r] else STATUS_DIVERGED,
-                        n=n,
-                        q=q,
-                        tolerance=tol,
-                        iterations=iterations,
-                        residual_inf=float(fnorm[r]),
-                    )
-                if converged[r]:
-                    own = slice(starts[r], starts[r] + sizes[r])
-                    nodes = node_class[live[r]]
-                    fit.alpha_hat, fit.v_hat_diag = beta[own][nodes], v_hat[own][nodes]
-                yield live[r], fit
-            if ended.all():
-                return
-            going = ~ended
-            keep = going.repeat(sizes)
-            var = np.concatenate((var[: -cls.k][keep[cls.iu]], var[-cls.k :][keep]))
-            beta, f, d, delta = beta[keep], f[keep], d[keep], delta[keep]
-            fnorm, leave = fnorm[going], leave[going]
-            live, sizes = (
-                [x for x, on in zip(xs, going.tolist()) if on] for xs in (live, sizes)
-            )
-            cls, starts, pair_starts = lay_out(cls.c[keep])
-
+    while groups:
+        layout, live, beta, f, fnorm, var, delta, iterations, diagonal, step = (
+            groups.pop()
+        )
+        seqs, sizes, cls, _, starts, pair_starts = layout
+        converged = fnorm <= tol
+        going = live & ~converged & (iterations < max_iter and step >= _MIN_STEP)
         if not diagonal and step == 1.0:  # not halving: a new Newton direction
             rhs = cls.c * f
-            for r, k in enumerate(sizes):
-                at = slice(starts[r], starts[r] + k)
-                pairs = slice(pair_starts[r], pair_starts[r] + k * (k - 1) // 2)
+            for i in np.flatnonzero(going).tolist():
+                k = sizes[i]
+                at = slice(starts[i], starts[i] + k)
+                pairs = slice(pair_starts[i], pair_starts[i] + k * (k - 1) // 2)
                 if k not in cells:
-                    cells[k] = cls.iu[pairs] * k + cls.ju[pairs] - starts[r] * (k + 1)
+                    cells[k] = cls.iu[pairs] * k + cls.ju[pairs] - starts[i] * (k + 1)
                 own = var[-cls.k :][at]  # every class's own pair follows all pairs
-                var_r = np.concatenate((var[pairs], own))
-                jac = _class_jacobian(cls.c[at], var_r, cells[k])
+                jac = _class_jacobian(cls.c[at], var[pairs], own, cells[k])
                 by = _conjugate_gradients if k >= _CG_CLASSES else _lu
                 delta[at] = by(jac, rhs[at])
                 del jac  # K-by-K: not to be held through the next kernel pass
-            leave = ~np.logical_and.reduceat(np.isfinite(delta), starts)
+                going[i] = np.isfinite(delta[at]).all()
+
+        if (live & converged).any():
+            v_hat = _node_sums(cls, var)
+        for i in np.flatnonzero(live & ~going).tolist():
+            fit = FitResult(
+                status=STATUS_CONVERGED if converged[i] else STATUS_DIVERGED,
+                n=n,
+                q=q,
+                tolerance=tol,
+                iterations=iterations,
+                residual_inf=float(fnorm[i]),
+            )
+            if converged[i]:
+                own = slice(starts[i], starts[i] + sizes[i])
+                nodes = node_class[seqs[i]]
+                fit.alpha_hat, fit.v_hat_diag = beta[own][nodes], v_hat[own][nodes]
+            yield seqs[i], fit
+        if not going.any():
+            continue
 
         cand = beta + (f / _node_sums(cls, var) if diagonal else step * delta)
-        fc, cnorm, var_c = evaluate(cand)
-        better = cnorm < fnorm
-        if better.any():  # a sequence that rejected the step leaves
-            beta, f, fnorm, var = cand, fc, cnorm, var_c
-            leave |= ~better
-            iterations, diagonal, step = iterations + 1, max(diagonal - 1, 0), 1.0
-        elif diagonal:
-            diagonal = 0
-        else:
-            step *= 0.5
+        here, moved = layout, delta  # a split's two groups share it: each
+        # writes the direction of its own live sequences only
+        if not going.all():  # lay out only the sequences still going
+            keep = going.repeat(sizes)
+            here = lay_out([r for r, on in zip(seqs, going.tolist()) if on])
+            cand, moved = cand[keep], delta[keep]
+        fc, cnorm, var_c = evaluate(here, cand)
+        better = cnorm < fnorm[going]
+        if not better.all():  # the rejecters split off, from their last point
+            rejecters = going.copy()
+            rejecters[going] = ~better
+            rejected = iterations, 0, step if diagonal else 0.5 * step
+            groups.append((layout, rejecters, beta, f, fnorm, var, delta, *rejected))
+        if better.any():
+            accepted = iterations + 1, max(diagonal - 1, 0), 1.0
+            groups.append((here, better, cand, fc, cnorm, var_c, moved, *accepted))
 
 
 def _lu(jac, b):

@@ -13,8 +13,11 @@ Sampling goes through the difference-of-geometrics representation, which is
 exact and integer-only: Z = G1 - G2 with G1, G2 independent geometric
 (number of failures) with success probabilities 1 - lam and 1 - mu.
 
-Degree sequences of undirected graphs have sensitivity 2: one edge touches
-two nodes.
+Degree sequences of undirected graphs have sensitivity 2 for neighbouring
+graphs that differ by one unit of weight on one pair, the relation assumed
+here.  Whole-edge neighbours, which may change one pair's weight by up to
+q - 1, move two degrees by q - 1 each: the same noise is then (q - 1)
+epsilon-DP (Dwork, McSherry, Nissim & Smith 2006).
 """
 
 from __future__ import annotations
@@ -316,7 +319,8 @@ def release_degrees(
         non-finite entry raises ValueError rather than being truncated.
     mechanism:
         Calibrated noise mechanism; with sensitivity 2 the release is
-        epsilon-edge differentially private by construction.
+        epsilon-edge DP for neighbours one unit of weight apart on one
+        pair, and (q - 1) epsilon-DP for whole-edge neighbours.
     seed:
         RNG seed recorded in the release provenance.
     q:

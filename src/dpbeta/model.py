@@ -403,16 +403,17 @@ def _node_sums(cls: _Classes, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _class_jacobian(c: np.ndarray, var: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _class_jacobian(
+    c: np.ndarray, pair: np.ndarray, own: np.ndarray, cells: np.ndarray
+) -> np.ndarray:
     """The k-by-k class Jacobian P^T V P of one sequence of k classes, from
-    its multiplicities c (k,) and the pair variances var (k(k-1)/2 + k,)
-    that ``_moments`` gives for it; cells holds the indices a*k + b of the
-    class pairs a < b in a k-by-k matrix.  V is the node-level
-    ``degree_jacobian`` and P the n-by-k class-indicator matrix: entry
-    (a, b) is c_a c_b v_ab off the diagonal and c_a v_ii + c_a (c_a - 1)
-    v_aa on it."""
+    its multiplicities c (k,) and the variances that ``_moments`` gives for
+    it: pair (k(k-1)/2,) over its class pairs a < b and own (k,) over each
+    class's own pair.  cells holds the indices a*k + b of the class pairs
+    a < b in a k-by-k matrix.  V is the node-level ``degree_jacobian`` and
+    P the n-by-k class-indicator matrix: entry (a, b) is c_a c_b v_ab off
+    the diagonal and c_a v_ii + c_a (c_a - 1) v_aa on it."""
     k = c.shape[0]
-    pair, own = var[:-k], var[-k:]
     c_own = c - 1.0
     v = np.zeros(k * k)
     v[cells] = pair
@@ -444,4 +445,4 @@ def degree_jacobian(alpha, q: int) -> np.ndarray:
     n = a.shape[0]
     cls = _classes(np.ones(n))
     var = _moments(a, q, cls)[1]
-    return _class_jacobian(cls.c, var, cls.iu * n + cls.ju)
+    return _class_jacobian(cls.c, var[:-n], var[-n:], cls.iu * n + cls.ju)

@@ -352,9 +352,9 @@ class TestDegreeClasses:
         alpha_star, mechanism = _study_setup("sqrtlog", "fixed:2", 1000)
         calls = []
 
-        def counted(c, var, cells):
+        def counted(c, pair, own, cells):
             calls.append(1)
-            return model._class_jacobian(c, var, cells)
+            return model._class_jacobian(c, pair, own, cells)
 
         monkeypatch.setattr(estimator, "_class_jacobian", counted)
         fit = solve(_noisy_degrees(alpha_star, 3, mechanism, child_seed(0, 1000, 0)), 3)
@@ -408,18 +408,18 @@ def degree_batches(draw):
     return np.array(rows, dtype=float), q
 
 
-def _singular_if_odd(c, var, cells):
+def _singular_if_odd(c, pair, own, cells):
     """``model._class_jacobian`` with every system of an odd class count
     made singular."""
-    jac = model._class_jacobian(c, var, cells)
+    jac = model._class_jacobian(c, pair, own, cells)
     if c.shape[0] % 2:
         jac[:] = 0.0
     return jac
 
 
 class TestSolveMany:
-    """Sequences solved together on one shared schedule give each the fit
-    it gets alone, to the last bit."""
+    """Sequences solved together, in groups that split where their steps
+    are rejected apart, give each the fit it gets alone, to the last bit."""
 
     @settings(max_examples=80)
     @given(
@@ -430,8 +430,8 @@ class TestSolveMany:
         st.sampled_from([None, 3, estimator._CG_STEPS]),
     )
     # tol = 1e-300 is rarely met, so steps are halved down to _MIN_STEP: the
-    # first row is diverged after 7 steps; the second leaves the batch at
-    # its first diagonal step
+    # first row is diverged after 7 steps; the second rejects a diagonal
+    # step the first accepts, and goes on as a group of its own
     @example((np.array([[3, 2, 4, 4], [2, 1, 3, 1]]), 3), 200, 1e-300, False, None)
     @example(
         (np.array([[3, 2, 4, 4], [2, 1, 3, 1]]), 3),
@@ -441,9 +441,9 @@ class TestSolveMany:
         estimator._CG_STEPS,
     )
     # `singular` makes every system of an odd class count singular: the
-    # first two rows (5 classes) leave the batch at their LU solve
-    # (by conjugate gradients, p'Jp is NaN, so they fall back to it) and
-    # fail alone, the third (4 classes) converges in the batch
+    # first two rows (5 classes) end at their LU solve (by conjugate
+    # gradients, p'Jp is NaN, so they fall back to it), the third (4
+    # classes) converges in the batch
     @example(
         (np.array([[2, 3, 4, 5, 6], [2, 3, 4, 5, 7], [3, 3, 4, 5, 6]]), 3),
         200,
@@ -499,41 +499,67 @@ class TestSolveMany:
         assert len({fit.iterations for fit in fits if fit.converged}) == 3
         assert [fit.infeasible_nodes for fit in fits[3:]] == [[0], [0, 1, 2]]
         assert [solve(d, 3).to_dict() for d in d_bars] == [f.to_dict() for f in fits]
-        # the second row rejects its first diagonal step while the first
-        # accepts it, so it leaves the batch and is solved again alone
+        # the second row rejects its second diagonal step while the first
+        # accepts it, so the batch splits there
         d_bars = np.array([[3, 2, 4, 4], [2, 1, 3, 1]], dtype=float)
         fits = solve_many(d_bars, 3)
         assert [fit.to_dict() for fit in fits] == [solve(d, 3).to_dict() for d in d_bars]
         assert [(fit.status, fit.iterations) for fit in fits] == [("converged", 6)] * 2
 
-    def test_singular_system_sends_only_its_sequence_alone(self, monkeypatch):
+    def test_singular_system_ends_only_its_sequence(self, monkeypatch):
         # two sequences of four classes; the Newton system of the one whose
-        # first class holds two nodes is zeroed.  Only that sequence leaves
-        # the batch (and fails alone); its batch-mate converges in it
+        # first class holds two nodes is zeroed.  That sequence ends in the
+        # batch as it ends alone, its batch-mate converges, and the batch
+        # is started once
         d_bars = np.array([[2, 2, 3, 4, 5], [2, 3, 4, 5, 5]], dtype=float)
-        jacobian, iterate = estimator._class_jacobian, estimator._iterate
+        jacobian, roots = estimator._class_jacobian, estimator._one_class_roots
 
-        def zeroed(c, var, cells):
-            jac = jacobian(c, var, cells)
+        def zeroed(c, pair, own, cells):
+            jac = jacobian(c, pair, own, cells)
             if c[0] == 2:
                 jac[:] = 0.0
             return jac
 
-        left = []
+        starts = []
 
         def counted(*args):
-            for r, fit in iterate(*args):
-                if fit is None:
-                    left.append(r)
-                yield r, fit
+            starts.append(1)
+            return roots(*args)
 
         monkeypatch.setattr(estimator, "_class_jacobian", zeroed)
-        monkeypatch.setattr(estimator, "_iterate", counted)
+        monkeypatch.setattr(estimator, "_one_class_roots", counted)
         fits = solve_many(d_bars, 3)
-        assert left == [0]
+        assert len(starts) == 1
         solo = [solve(d_bar, 3) for d_bar in d_bars]
         assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
         assert [fit.status for fit in fits] == ["nonexistent_diverged", "converged"]
+
+    def test_rejecters_go_on_from_where_they_split(self, monkeypatch):
+        # the second row rejects the second diagonal step, which the first
+        # row accepts: it goes on from its last point as a group of its
+        # own, so the batch is started once, and the start and the two
+        # diagonal steps are the only kernel passes the rows share
+        d_bars = np.array([[3, 2, 4, 4], [2, 1, 3, 1]], dtype=float)
+        calls = {"pass": 0, "start": 0}
+        kernel, roots = model._shifted_exponentials, estimator._one_class_roots
+
+        def counted_pass(s, q):
+            calls["pass"] += 1
+            return kernel(s, q)
+
+        def counted_start(*args):
+            calls["start"] += 1
+            return roots(*args)
+
+        monkeypatch.setattr(model, "_shifted_exponentials", counted_pass)
+        monkeypatch.setattr(estimator, "_one_class_roots", counted_start)
+        solo = [solve(d_bar, 3) for d_bar in d_bars]
+        solo_passes = calls["pass"]
+        calls.update({"pass": 0, "start": 0})
+        fits = solve_many(d_bars, 3)
+        assert calls["start"] == 1
+        assert calls["pass"] == solo_passes - 3
+        assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
 
     @settings(max_examples=60)
     @given(degree_batches())

@@ -451,7 +451,7 @@ class TestDegreeClasses:
             first = np.searchsorted(node_class, np.arange(k))
             cls = model._classes(counts)
             mean, var = model._moments(beta, q, cls)
-            jac = model._class_jacobian(cls.c, var, cls.iu * k + cls.ju)
+            jac = model._class_jacobian(cls.c, var[:-k], var[-k:], cls.iu * k + cls.ju)
             np.testing.assert_allclose(jac, p.T @ v @ p, rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 model._node_sums(cls, mean),
