@@ -316,7 +316,8 @@ class PruneResult:
 def prune_isolated(graph: WeightedGraph) -> PruneResult:
     """Drop all nodes with degree zero, reindexing the survivors.
 
-    Memory is linear in the number of edges, whatever n is.
+    Memory is linear in the number of edges, whatever n is.  A graph
+    without such nodes is returned as it is.
     Raises DataError if fewer than two nodes would remain.
     """
     # a node has positive degree iff it is an endpoint, since weights are >= 1
@@ -326,6 +327,8 @@ def prune_isolated(graph: WeightedGraph) -> PruneResult:
         # lookup in it is several times faster than sorting them
         seen = np.zeros(graph.n, dtype=bool)
         seen[ends] = True
+        if seen.all():
+            return PruneResult(graph, np.arange(graph.n), 0, [])
         kept = np.flatnonzero(seen)
         ends = (np.cumsum(seen) - 1)[ends]
     else:

@@ -24,17 +24,18 @@ solves with.
 
 Sampling draws one uniform per pair, in row-major i < j order, and counts
 the pair's cdf thresholds it reaches.  One private core, ``_pair_weights``,
-yields those weights in blocks.  The thresholds depend only on (alpha, q),
-and every replication of a study samples at the same truth, so when they
-and the pairs' column indices fit a fixed 64 MB budget (q=3 up to
-n ~ 2360) they are kept in a one-slot cache, keyed on q and the bytes of
-alpha, and a draw is one block that costs only its uniforms.  Above the
-budget each block of 2**16 pairs builds its own thresholds and draws its
-own uniforms, so memory stays bounded at any n.  Uniforms drawn in blocks
-are the same stream as one call, so no draw depends on the path.  Two
-consumers share the core: ``sample_graph`` keeps each block's nonzero
-pairs, and ``_sample_degrees``, which a study replication calls, adds each
-block's weights into the degrees directly, building no edge list.
+yields those weights in blocks of whole rows, about 2**16 pairs each, as
+strips: dense arrays of the block's rows, 0 where j <= i, so a pair's
+nodes are its place in its strip.  The thresholds depend only on
+(alpha, q), and every replication of a study samples at the same truth, so
+when they fit a fixed 64 MB budget (q=3 up to n ~ 2900) they are kept in a
+one-slot cache, keyed on q and the bytes of alpha, and a later draw costs
+only its uniforms.  Otherwise each block builds its own thresholds and
+draws its own uniforms, the same stream as one call, so memory stays
+bounded at any n.  Two consumers share the core: ``sample_graph`` keeps
+each block's nonzero pairs, and ``_sample_degrees``, which a study
+replication calls, sums each strip along its rows and down its columns,
+building no edge list.
 
 Nodes with equal parameters have equal moments, so the degree map and its
 Jacobian are computed over classes of tied nodes: one parameter per class
@@ -193,99 +194,95 @@ def _class_sum(t: np.ndarray) -> np.ndarray:
     return total
 
 
-# The thresholds and column indices of the last (alpha, q) sampled are kept
-# if they take at most this many bytes, 8q per pair: 64 MB holds q=3 up to
-# n ~ 2360.  Bigger sizes are streamed, block by block, on every call.
+# The cdf thresholds of the last (alpha, q) sampled are kept if they take at
+# most this many bytes, 8(q-1) per pair: 64 MB holds q=3 up to n ~ 2900.
+# Bigger sizes are streamed, block by block, on every call.
 _THRESHOLD_BUDGET = 64 * 2**20
-# Pairs per block of the threshold build and of a streamed draw; it bounds
-# the pair-sum, softmax and uniform temporaries.
+# Pairs per block of whole rows (a longer row is a block of its own); it
+# bounds the pair-sum, softmax, uniform and strip temporaries of a draw.
 _BLOCK_PAIRS = 2**16
-# At most one entry, (q, alpha bytes) -> (thresholds, columns).
+# At most one entry, (q, alpha bytes) -> thresholds.
 _threshold_cache: dict = {}
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """The row-major index at which the pairs (i, j > i) of each row i start."""
-    rows = np.arange(n)
-    return rows * (n - 1) - rows * (rows - 1) // 2
-
-
-def _pair_nodes(flat: np.ndarray, starts: np.ndarray):
-    """The nodes i < j of the pairs at the sorted row-major indices flat,
-    given the index at which each row's pairs start."""
-    rows = np.arange(starts.shape[0])
-    per_row = np.diff(np.searchsorted(flat, starts), append=flat.size)
-    return np.repeat(rows, per_row), flat - np.repeat(starts - rows - 1, per_row)
-
-
-def _block_thresholds(a, q: int, lo: int, hi: int, starts, out=None):
-    """The cdf thresholds of the pairs lo..hi-1 in row-major order, as a
-    (q-1, hi-lo) array (written to out if given), and the pairs' columns j.
+def _block_thresholds(a, q: int, r0: int, mask, out=None):
+    """The cdf thresholds of the pairs (i, j) that mask selects in the
+    strip of the rows from r0 on (see ``_pair_weights``), in row-major
+    order, as a (q-1, pairs) array (written to out if given).
 
     Threshold k of a pair is P(a_ij <= k).  The last cdf value, 1, is left
     out: no uniform in [0, 1) reaches it.
     """
-    i, j = _pair_nodes(np.arange(lo, hi), starts)
-    t, den = _shifted_exponentials(a[i] + a[j], q)
+    s = np.add.outer(a[r0 : r0 + mask.shape[0]], a[r0 + 1 :])[mask]
+    t, den = _shifted_exponentials(s, q)
     cdf = np.divide(t[:-1], den, out=out)
     for k in range(1, q - 1):
         cdf[k] += cdf[k - 1]
-    return cdf, j
+    return cdf
 
 
-def _pair_weights(a: np.ndarray, q: int, rng, starts: np.ndarray):
+def _pair_weights(a: np.ndarray, q: int, rng):
     """Draw every pair's weight, one uniform per pair in row-major order,
-    and yield them in consecutive blocks (lo, w, j): the weights w of the
-    pairs lo, lo+1, ... and the pairs' columns j.
+    and yield them in consecutive blocks of whole rows (r0, strip): the
+    weight of the pair (i, j) of a row i = r0, r0+1, ... is
+    strip[i - r0, j - r0 - 1], and the strip holds 0 where j <= i.
 
     A pair's weight is the number of its cdf thresholds its uniform reaches.
-    The thresholds and columns depend only on (alpha, q).  If they fit
-    ``_THRESHOLD_BUDGET`` they are built once, kept read-only in a one-slot
-    cache, and every draw is one block.  Otherwise each block of
-    ``_BLOCK_PAIRS`` pairs builds its own and draws its own uniforms.
-    Uniforms drawn in blocks are the same stream as those of one call, so
-    no weight depends on the path.
+    At cached thresholds a draw takes all its uniforms in one call.  Any
+    other draw builds the thresholds and draws the uniforms block by block,
+    the same stream, and caches the thresholds, read-only, if they fit
+    ``_THRESHOLD_BUDGET``.
     """
     n = a.shape[0]
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}.")
-    pairs = n * (n - 1) // 2
-    dtype = np.min_scalar_type(q - 1)
+    rows = np.arange(n)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2  # where row i's pairs start
+    pairs = int(starts[-1])
+    # blocks of the rows r0..r1-1: each starts at the row of a multiple of
+    # _BLOCK_PAIRS, so a row longer than that is a block of its own (a set,
+    # not np.unique, whose first call adds 1.1 MB to a study's peak RSS)
+    firsts = np.searchsorted(starts, np.arange(0, pairs, _BLOCK_PAIRS), side="right") - 1
+    bounds = sorted(set(firsts.tolist())) + [n - 1]
+    dtype, small = np.min_scalar_type(q - 1), np.min_scalar_type(n)
     key = (q, a.tobytes())
-    cached = _threshold_cache.get(key)
-    if cached is None:
+    thresholds = _threshold_cache.get(key)
+    cached = thresholds is not None
+    if cached:
+        uniforms = rng.random(pairs)
+    else:
         _threshold_cache.clear()
-        if 8 * q * pairs <= _THRESHOLD_BUDGET:
-            thresholds = np.empty((q - 1, pairs))
-            cols = np.empty(pairs, dtype=np.intp)
-            for lo in range(0, pairs, _BLOCK_PAIRS):
-                hi = min(lo + _BLOCK_PAIRS, pairs)
-                _, cols[lo:hi] = _block_thresholds(
-                    a, q, lo, hi, starts, out=thresholds[:, lo:hi]
-                )
-            thresholds.flags.writeable = cols.flags.writeable = False
-            cached = _threshold_cache[key] = (thresholds, cols)
-    if cached is not None:
-        thresholds, cols = cached
-        yield 0, (rng.random(pairs) >= thresholds).sum(axis=0, dtype=dtype), cols
-        return
-    for lo in range(0, pairs, _BLOCK_PAIRS):
-        hi = min(lo + _BLOCK_PAIRS, pairs)
-        cdf, j = _block_thresholds(a, q, lo, hi, starts)
-        yield lo, (rng.random(hi - lo) >= cdf).sum(axis=0, dtype=dtype), j
+        if 8 * (q - 1) * pairs <= _THRESHOLD_BUDGET:
+            thresholds = np.empty((q - 1, pairs))  # filled by this draw
+    for r0, r1 in zip(bounds, bounds[1:]):
+        lo, hi = starts[r0], starts[r1]
+        cols = np.arange(n - 1 - r0, dtype=small)  # of the nodes j = r0+1+c
+        mask = cols >= np.arange(r1 - r0, dtype=small)[:, None]
+        if cached:
+            reached = uniforms[lo:hi] >= thresholds[:, lo:hi]
+        else:
+            out = None if thresholds is None else thresholds[:, lo:hi]
+            # thresholds first: holding the uniforms while their temporaries
+            # come and go, malloc maps those anew (2x the time at n=4000)
+            cdf = _block_thresholds(a, q, r0, mask, out)
+            reached = rng.random(hi - lo) >= cdf
+        strip = np.zeros(mask.shape, dtype)
+        strip[mask] = reached.sum(axis=0, dtype=dtype)
+        yield r0, strip
+    if not cached and thresholds is not None:
+        thresholds.flags.writeable = False
+        _threshold_cache[key] = thresholds
 
 
 def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     """Draw a graph with independent multinomial edge weights.
 
     Pairs are enumerated in row-major i < j order with one uniform draw per
-    pair, so identical seeds give identical graphs.  A pair's weight is the
-    number of its cdf thresholds its uniform reaches.  The thresholds
-    depend only on (alpha, q): within a fixed byte budget the last ones
-    built are kept in a one-slot cache, so a repeated call only draws its
-    uniforms; above it they are built and used block by block, so memory
-    stays bounded apart from the graph itself.  Neither path changes a draw
-    (see ``_pair_weights``).
+    pair, so identical seeds give identical graphs.  Within a fixed byte
+    budget the pairs' cdf thresholds at the last (alpha, q) are cached, so a
+    repeated call only draws its uniforms; above it memory stays bounded
+    apart from the graph itself.  Neither path changes a draw (see
+    ``_pair_weights``).
 
     Parameters
     ----------
@@ -297,40 +294,37 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
         Anything accepted by ``numpy.random.default_rng``.
     """
     a, q = _as_alpha(alpha), _check_q(q)
-    starts = _row_starts(a.shape[0])
-    flat, weights = [], []
-    for lo, w, _ in _pair_weights(a, q, np.random.default_rng(seed), starts):
-        nonzero = np.flatnonzero(w)
-        weights.append(w[nonzero])
-        nonzero += lo
-        flat.append(nonzero)
-    i, j = _pair_nodes(np.concatenate(flat), starts)
-    return WeightedGraph(a.shape[0], q, i, j, np.concatenate(weights))
+    n = a.shape[0]
+    # each block's nonzero pairs as 4-byte offsets into its strip, which
+    # holds fewer than 2**32 entries: at most twice its pairs
+    blocks = []
+    for r0, strip in _pair_weights(a, q, np.random.default_rng(seed)):
+        flat = strip.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        blocks.append((r0, nonzero.astype(np.uint32), flat[nonzero]))
+    ends = np.cumsum([0] + [offsets.size for _, offsets, _ in blocks]).tolist()
+    i, j, w = (np.empty(ends[-1], dtype=np.int64) for _ in range(3))
+    for (r0, offsets, weights), lo, hi in zip(blocks, ends, ends[1:]):
+        np.divmod(offsets, n - 1 - r0, out=(i[lo:hi], j[lo:hi]))
+        i[lo:hi] += r0
+        j[lo:hi] += r0 + 1
+        w[lo:hi] = weights
+    del blocks
+    return WeightedGraph(n, q, i, j, w)
 
 
 def _sample_degrees(alpha, q: int, seed=None) -> np.ndarray:
     """The degrees of ``sample_graph(alpha, q, seed)``, from the same draws,
-    without building the graph.
-
-    Each block of pair weights is summed along its rows, which are runs of
-    consecutive pairs starting at the row starts, and scattered to its
-    columns.
-    """
+    without building the graph: each block's strip is summed along its rows
+    and down its columns."""
     a, q = _as_alpha(alpha), _check_q(q)
     n = a.shape[0]
-    starts = _row_starts(n)
-    rows = np.zeros(n, dtype=np.int64)
-    cols = np.zeros(n)  # sums of small integers: exact in float
-    for lo, w, j in _pair_weights(a, q, np.random.default_rng(seed), starts):
-        first, last = np.searchsorted(starts, (lo, lo + w.size - 1), side="right") - 1
-        runs = np.maximum(starts[first : last + 1] - lo, 0)
-        rows[first : last + 1] += np.add.reduceat(w, runs, dtype=np.int64)
-        # not bincount: it copies an index it cannot write to, such as the
-        # cached read-only columns, on every call; add.at reads it in place.
-        # Float weights: add.at casting small integers to the sum's dtype
-        # inside the loop is many times slower than astype.
-        np.add.at(cols, j, w.astype(float))
-    return rows + cols.astype(np.int64)
+    total = np.min_scalar_type((q - 1) * (n - 1))  # holds any row or column sum
+    d = np.zeros(n, dtype=np.int64)
+    for r0, strip in _pair_weights(a, q, np.random.default_rng(seed)):
+        d[r0 : r0 + strip.shape[0]] += strip.sum(axis=1, dtype=total)
+        d[r0 + 1 :] += strip.sum(axis=0, dtype=total)
+    return d
 
 
 class _Classes(NamedTuple):

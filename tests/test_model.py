@@ -218,15 +218,16 @@ class TestThresholdCache:
 
     def test_cached_thresholds_are_read_only(self):
         sample_graph(np.zeros(20), 3, seed=1)
-        (entry,) = model._threshold_cache.values()
-        assert len(entry) == 2  # the thresholds and the pairs' columns
-        assert not any(array.flags.writeable for array in entry)
+        (thresholds,) = model._threshold_cache.values()
+        assert thresholds.shape == (2, 20 * 19 // 2)
+        assert not thresholds.flags.writeable
 
     @pytest.mark.parametrize("spare", [0, -1])
-    def test_budget_counts_thresholds_and_columns(self, monkeypatch, spare):
-        # q-1 thresholds and one column index per pair: 8q bytes
+    def test_budget_counts_the_thresholds(self, monkeypatch, spare):
+        # q-1 thresholds per pair, 8(q-1) bytes, and nothing else
         n, q = 30, 3
-        monkeypatch.setattr(model, "_THRESHOLD_BUDGET", 8 * q * (n * (n - 1) // 2) + spare)
+        budget = 8 * (q - 1) * (n * (n - 1) // 2)
+        monkeypatch.setattr(model, "_THRESHOLD_BUDGET", budget + spare)
         model._threshold_cache.clear()
         g = sample_graph(np.linspace(-1.0, 1.0, n), q, seed=3)
         assert len(model._threshold_cache) == (spare == 0)
@@ -271,6 +272,13 @@ class TestStreamedSampling:
     def test_draws_are_pinned_at_other_sizes(self, streamed, n, q, digest):
         assert pinned_digest(n, q) == digest
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_draws_are_pinned_in_small_blocks(self, streamed, monkeypatch, block):
+        # single-row blocks, and rows longer than a block
+        monkeypatch.setattr(model, "_BLOCK_PAIRS", block)
+        pinned = [(60, q, digest) for q, digest in PINNED_N60] + PINNED_SIZES
+        assert [pinned_digest(n, q) for n, q, _ in pinned] == [d for *_, d in pinned]
+
     def test_degree_draw_memory(self, streamed):
         # n=3000, q=3: the full thresholds would take 72 MB; one streamed
         # block's temporaries take ~6
@@ -297,6 +305,21 @@ class TestSampleDegrees:
     def test_match_sampled_graph(self, request, path, n, q):
         if path == "streamed":
             request.getfixturevalue("streamed")
+        self.check_match(n, q)
+
+    @pytest.mark.parametrize("path", ["cached", "streamed"])
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_match_sampled_graph_in_small_blocks(self, request, monkeypatch, path, block):
+        # single-row blocks, and rows longer than a block
+        if path == "streamed":
+            request.getfixturevalue("streamed")
+        monkeypatch.setattr(model, "_BLOCK_PAIRS", block)
+        for n, q in ((2, 3), (3, 2), (60, 5), (400, 3)):
+            model._threshold_cache.clear()
+            self.check_match(n, q)
+
+    @staticmethod
+    def check_match(n, q):
         alpha = np.linspace(-1.0, 2.0, n)
         pairs = n * (n - 1) // 2
         for seed in (0, 1, 2002):
@@ -308,9 +331,9 @@ class TestSampleDegrees:
             after.random(pairs)
             assert rng.random() == after.random()
 
-    def test_warm_call_does_not_copy_the_cached_columns(self):
+    def test_warm_call_stays_under_12_bytes_a_pair(self):
         # n = 1000, q = 3 at a cached truth: the uniforms (8 bytes a pair)
-        # and the weights, not a copy of the read-only column index (8 more)
+        # and one block's weights and strip at a time
         alpha = truth_profile(1000, math.sqrt(math.log(1000)))
         model._sample_degrees(alpha, 3, seed=1)
         tracemalloc.start()
