@@ -1,17 +1,16 @@
 """Integer noise mechanisms for releasing degree sequences under edge DP.
 
-The symmetric discrete Laplace distribution has pmf
+The noise follows one discrete Laplace law with parameters 0 < lam, mu < 1:
 
-    P(Z = z) = (1 - lam) / (1 + lam) * lam^|z|,   z integer, 0 < lam < 1,
+    P(Z = z) = (1 - lam)(1 - mu) / (1 - lam mu) * (lam^z if z >= 0 else mu^-z),
 
-and adding one independent draw to each coordinate of a statistic with
-global sensitivity ``delta`` is (-delta * log(lam))-edge differentially
-private.  The skew variant uses lam on the positive side and mu on the
-negative side; its privacy level is governed by min(lam, mu).
-
-Sampling goes through the difference-of-geometrics representation, which is
-exact and integer-only: Z = G1 - G2 with G1, G2 independent geometric
-(number of failures) with success probabilities 1 - lam and 1 - mu.
+the law of Z = G1 - G2 with G1, G2 independent geometric (number of
+failures) with success probabilities 1 - lam and 1 - mu (Kozubowski &
+Inusah 2006).  The symmetric mechanism is mu = lam, with pmf
+(1 - lam) / (1 + lam) * lam^|z|; the skew mechanism lets mu differ.  Adding
+one independent draw to each coordinate of a statistic with global
+sensitivity ``delta`` is (-delta * log(min(lam, mu)))-edge differentially
+private.  Sampling draws G1 and G2, which is exact and integer-only.
 
 Degree sequences of undirected graphs have sensitivity 2 for neighbouring
 graphs that differ by one unit of weight on one pair, the relation assumed
@@ -80,8 +79,8 @@ def calibrate(
     Parameters
     ----------
     epsilon:
-        Privacy parameter, finite and > 0; small enough that
-        exp(-epsilon / sensitivity) does not underflow to 0.
+        Privacy parameter, finite and > 0, such that
+        exp(-epsilon / sensitivity) rounds to neither 0 nor 1.
     sensitivity:
         Global l1 sensitivity of the released statistic (2 for degrees), a
         positive integer.
@@ -102,9 +101,10 @@ def calibrate(
     # truncating a sensitivity of 2.7 to 2 would calibrate too little noise
     sensitivity = _integer(sensitivity, "sensitivity", 1)
     base = math.exp(-epsilon / sensitivity)
-    if base == 0.0:
+    if not 0.0 < base < 1.0:
         raise CalibrationError(
-            f"epsilon={epsilon} is too large: exp(-epsilon / sensitivity) is 0."
+            f"epsilon={epsilon} is out of range: exp(-epsilon / sensitivity) "
+            f"rounds to {base}."
         )
 
     if kind == "symmetric":
@@ -143,100 +143,66 @@ def theory_epsilon_floor(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symmetric discrete Laplace
+# the discrete Laplace law
 # ---------------------------------------------------------------------------
 
 
-def dlaplace_pmf(z, lam: float):
-    """pmf of the symmetric discrete Laplace distribution at integer z."""
-    _check_param(lam, "lam")
-    z = np.asarray(z)
-    out = (1.0 - lam) / (1.0 + lam) * lam ** np.abs(z)
-    return float(out) if out.ndim == 0 else out
+def _log_pmf(z, lam: float, mu: float):
+    """log P(Z = z) at integer z.
 
-
-def dlaplace_moments(lam: float) -> tuple[float, float, float]:
-    """(mean, variance, E|Z|) = (0, 2 lam / (1-lam)^2, 2 lam / (1-lam^2))."""
-    _check_param(lam, "lam")
-    variance = 2.0 * lam / (1.0 - lam) ** 2
-    mean_abs = 2.0 * lam / (1.0 - lam**2)
-    return 0.0, variance, mean_abs
-
-
-def dlaplace_tail(c: float, lam: float, n: Optional[int] = None) -> float:
-    """P(|Z| > c), or P(max of n iid |Z_i| > c) when n is given.
-
-    The single-variable tail is 2 lam^(floor(c)+1) / (1 + lam).
+    1 - lam mu is written (1-lam) + lam (1-mu), here and below: a sum of
+    positive terms keeps its relative precision as lam and mu near 1.
     """
-    _check_param(lam, "lam")
-    if c < 0:
-        raise ValueError("c must be >= 0.")
-    single = 2.0 * lam ** (math.floor(c) + 1) / (1.0 + lam)
-    if n is None:
-        return single
-    if n < 1:
-        raise ValueError("n must be >= 1.")
-    return 1.0 - (1.0 - single) ** n
-
-
-# ---------------------------------------------------------------------------
-# skew discrete Laplace
-# ---------------------------------------------------------------------------
-
-
-def skew_dlaplace_pmf(z, lam: float, mu: float):
-    """pmf with weight lam^z for z >= 0 and mu^|z| for z <= 0."""
-    _check_param(lam, "lam")
-    _check_param(mu, "mu")
-    z = np.asarray(z)
-    norm = (1.0 - lam) * (1.0 - mu) / (1.0 - lam * mu)
-    out = norm * np.where(z >= 0, lam ** np.maximum(z, 0), mu ** np.abs(z))
-    return float(out) if out.ndim == 0 else out
-
-
-def skew_dlaplace_moments(lam: float, mu: float) -> tuple[float, float, float]:
-    """(mean, variance, E|Z|) of the skew discrete Laplace distribution.
-
-    mean = lam/(1-lam) - mu/(1-mu); E|Z| sums the two geometric sides and
-    reduces to 2 lam / (1 - lam^2) when lam == mu.
-    """
-    _check_param(lam, "lam")
-    _check_param(mu, "mu")
-    mean = lam / (1.0 - lam) - mu / (1.0 - mu)
-    variance = (
-        (
-            mu * (1.0 - lam) ** 3 * (1.0 + mu)
-            + lam * (1.0 - mu) ** 3 * (1.0 + lam)
-        )
-        / (1.0 - lam * mu)
-        - (lam - mu) ** 2
-    ) / ((1.0 - lam) ** 2 * (1.0 - mu) ** 2)
-    mean_abs = (lam * (1.0 - mu) ** 2 + mu * (1.0 - lam) ** 2) / (
-        (1.0 - lam) * (1.0 - mu) * (1.0 - lam * mu)
+    log_norm = (
+        math.log(1.0 - lam)
+        + math.log(1.0 - mu)
+        - math.log((1.0 - lam) + lam * (1.0 - mu))
     )
+    return log_norm + np.where(z >= 0, z * math.log(lam), -z * math.log(mu))
+
+
+def dlaplace_pmf(z, lam: float, mu: float):
+    """pmf at integer z: proportional to lam^z for z >= 0, mu^|z| for z <= 0."""
+    _check_params(lam, mu)
+    out = np.exp(_log_pmf(np.asarray(z), lam, mu))
+    return float(out) if out.ndim == 0 else out
+
+
+def dlaplace_moments(lam: float, mu: float) -> tuple[float, float, float]:
+    """(mean, variance, E|Z|) of Z = G1 - G2 (see the module docstring):
+    mean = lam/(1-lam) - mu/(1-mu), variance = lam/(1-lam)^2 + mu/(1-mu)^2
+    and, with r = (1-mu)/(1-lam), E|Z| = (lam r + mu/r) / (1 - lam mu).
+    """
+    _check_params(lam, mu)
+    mean = lam / (1.0 - lam) - mu / (1.0 - mu)
+    variance = lam / (1.0 - lam) ** 2 + mu / (1.0 - mu) ** 2
+    r = (1.0 - mu) / (1.0 - lam)
+    mean_abs = (lam * r + mu / r) / ((1.0 - lam) + lam * (1.0 - mu))
     return mean, variance, mean_abs
 
 
-def skew_dlaplace_tail(
-    c: float, lam: float, mu: float, n: Optional[int] = None
-) -> float:
-    """P(|Z| > c) = [(1-mu) lam^(floor(c)+1) + (1-lam) mu^(floor(c)+1)] / (1 - lam mu)."""
-    _check_param(lam, "lam")
-    _check_param(mu, "mu")
-    if c < 0:
-        raise ValueError("c must be >= 0.")
+def dlaplace_tail(c: float, lam: float, mu: float, n: Optional[int] = None) -> float:
+    """P(|Z| > c), or P(max of n iid |Z_i| > c) when n is given.
+
+    With k = floor(c) + 1,
+    P(|Z| > c) = [(1-mu) lam^k + (1-lam) mu^k] / (1 - lam mu).
+    """
+    _check_params(lam, mu)
+    if not 0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c!r}.")
     k = math.floor(c) + 1
-    single = ((1.0 - mu) * lam**k + (1.0 - lam) * mu**k) / (1.0 - lam * mu)
+    single = ((1.0 - mu) * lam**k + (1.0 - lam) * mu**k) / (
+        (1.0 - lam) + lam * (1.0 - mu)
+    )
     if n is None:
         return single
-    if n < 1:
-        raise ValueError("n must be >= 1.")
-    return 1.0 - (1.0 - single) ** n
+    return 1.0 - (1.0 - single) ** _integer(n, "n", 1)
 
 
-def _check_param(value: float, name: str) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {value}.")
+def _check_params(lam: float, mu: float) -> None:
+    for value, name in ((lam, "lam"), (mu, "mu")):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie strictly in (0, 1), got {value}.")
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +317,7 @@ def worst_case_log_ratio(mechanism: NoiseMechanism, window: int = 50) -> float:
 
     zmin, zmax = -window - delta, window + delta
     zs = np.arange(zmin, zmax + 1)
-    log_norm = (
-        math.log(1.0 - mechanism.lam)
-        + math.log(1.0 - mechanism.mu)
-        - math.log(1.0 - mechanism.lam * mechanism.mu)
-    )
-    logp = log_norm + np.where(
-        zs >= 0, zs * math.log(mechanism.lam), -zs * math.log(mechanism.mu)
-    )
+    logp = _log_pmf(zs, mechanism.lam, mechanism.mu)
 
     def idx(z: np.ndarray) -> np.ndarray:
         return z - zmin

@@ -19,9 +19,6 @@ from dpbeta.mechanisms import (
     dlaplace_pmf,
     dlaplace_tail,
     sample_noise,
-    skew_dlaplace_moments,
-    skew_dlaplace_pmf,
-    skew_dlaplace_tail,
     worst_case_log_ratio,
 )
 from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
@@ -154,28 +151,33 @@ def test_c07_mechanism_moments():
     for k, lam in enumerate((0.3, math.exp(-1), 0.7)):
         mech = calibrate(-2.0 * math.log(lam))
         draws = sample_noise(mech, n, seed=SEED + 10 + k)
-        _, var, _ = dlaplace_moments(lam)
+        _, var, _ = dlaplace_moments(lam, lam)
         fourth = oracles.dlaplace_moment_by_series(lam, 4)
         se_mean = math.sqrt(var / n)
         se_var = math.sqrt((fourth - var**2) / n)
         worst_mean_z = max(worst_mean_z, abs(float(draws.mean())) / se_mean)
         worst_var_z = max(worst_var_z, abs(float(draws.var()) - var) / se_var)
 
+    # at mu = lam the law must give the symmetric closed forms
     collapse = 0.0
     for lam in (0.3, math.exp(-1), 0.7):
         z = np.arange(-20, 21)
         collapse = max(
             collapse, float(np.max(np.abs(
-                skew_dlaplace_pmf(z, lam, lam) - dlaplace_pmf(z, lam)
+                dlaplace_pmf(z, lam, lam) - (1 - lam) / (1 + lam) * lam ** np.abs(z)
             )))
         )
-        s_mean, s_var, s_abs = skew_dlaplace_moments(lam, lam)
-        _, d_var, d_abs = dlaplace_moments(lam)
-        collapse = max(collapse, abs(s_mean), abs(s_var - d_var), abs(s_abs - d_abs))
+        mean, var, mean_abs = dlaplace_moments(lam, lam)
+        collapse = max(
+            collapse,
+            abs(mean),
+            abs(var - 2 * lam / (1 - lam) ** 2),
+            abs(mean_abs - 2 * lam / (1 - lam**2)),
+        )
         for c in (0.0, 1.0, 3.0):
+            k = math.floor(c) + 1
             collapse = max(
-                collapse,
-                abs(skew_dlaplace_tail(c, lam, lam) - dlaplace_tail(c, lam)),
+                collapse, abs(dlaplace_tail(c, lam, lam) - 2 * lam**k / (1 + lam))
             )
     ok = worst_mean_z <= 3.0 and worst_var_z <= 3.0 and collapse <= 1e-14
     _report(

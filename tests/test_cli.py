@@ -784,6 +784,17 @@ class TestExitCodes:
         assert err.splitlines() == ["error: epsilon must be finite and > 0, got -1.0."]
         assert not out.exists()
 
+    def test_release_epsilon_rounding_noise_away_names_epsilon(
+        self, tmp_path, zebra_path, capsys
+    ):
+        # exp(-1e-17 / 2) rounds to 1, which no noise parameter may equal
+        out = tmp_path / "rel.json"
+        assert main(["release", "--input", str(zebra_path), "--q", "3",
+                     "--eps", "1e-17", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon=1e-17 ") and "lam and mu" not in err
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["release", "--input", str(tmp_path / "none.txt"),
                      "--q", "3", "--eps", "1",

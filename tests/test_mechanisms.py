@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,6 @@ from dpbeta.mechanisms import (
     dlaplace_tail,
     release_degrees,
     sample_noise,
-    skew_dlaplace_moments,
-    skew_dlaplace_pmf,
-    skew_dlaplace_tail,
     worst_case_log_ratio,
 )
 
@@ -71,6 +69,16 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="epsilon"):
             calibrate(eps)
 
+    @pytest.mark.parametrize("eps", [1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize(
+        "kind, ratio", [("symmetric", None), ("skew", 0.5)], ids=["symmetric", "skew"]
+    )
+    def test_epsilon_rounding_base_to_one(self, eps, kind, ratio):
+        # exp(-eps/2) rounds to 1: the error names epsilon, not lam, mu or
+        # skew_ratio, which the caller never gave
+        with pytest.raises(CalibrationError, match=f"^epsilon={eps} "):
+            calibrate(eps, kind=kind, skew_ratio=ratio)
+
     @pytest.mark.parametrize("sensitivity", [2.7, True, "2"])
     def test_sensitivity_is_not_truncated(self, sensitivity):
         # 2.7 must not calibrate with 2, which is less noise than asked for
@@ -88,34 +96,36 @@ class TestCalibrate:
 
 class TestDlaplacePmf:
     def test_values(self):
-        assert dlaplace_pmf(0, 0.5) == pytest.approx(1 / 3, abs=1e-15)
-        assert dlaplace_pmf(2, 0.5) == pytest.approx(1 / 12, abs=1e-15)
-        assert dlaplace_pmf(-2, 0.5) == pytest.approx(1 / 12, abs=1e-15)
+        assert dlaplace_pmf(0, 0.5, 0.5) == pytest.approx(1 / 3, abs=1e-15)
+        assert dlaplace_pmf(2, 0.5, 0.5) == pytest.approx(1 / 12, abs=1e-15)
+        assert dlaplace_pmf(-2, 0.5, 0.5) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_symmetry_exact(self):
         z = np.arange(0, 40)
-        np.testing.assert_array_equal(dlaplace_pmf(z, 0.77), dlaplace_pmf(-z, 0.77))
+        np.testing.assert_array_equal(
+            dlaplace_pmf(z, 0.77, 0.77), dlaplace_pmf(-z, 0.77, 0.77)
+        )
 
     def test_truncated_sum_reaches_one(self):
         z = np.arange(-60, 61)
-        assert abs(dlaplace_pmf(z, 0.5).sum() - 1.0) <= 1e-12
+        assert abs(dlaplace_pmf(z, 0.5, 0.5).sum() - 1.0) <= 1e-12
 
     def test_rejects_bad_lambda(self):
         for lam in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
-                dlaplace_pmf(0, lam)
+                dlaplace_pmf(0, lam, lam)
 
 
 class TestDlaplaceMoments:
     def test_half(self):
-        mean, var, mean_abs = dlaplace_moments(0.5)
+        mean, var, mean_abs = dlaplace_moments(0.5, 0.5)
         assert mean == 0.0
         assert var == pytest.approx(4.0, abs=1e-14)
         assert mean_abs == pytest.approx(4 / 3, abs=1e-14)
 
     def test_exp_minus_one_against_series(self):
         lam = math.exp(-1)
-        _, var, mean_abs = dlaplace_moments(lam)
+        _, var, mean_abs = dlaplace_moments(lam, lam)
         assert var == pytest.approx(
             oracles.dlaplace_moment_by_series(lam, 2), abs=1e-12
         )
@@ -128,7 +138,7 @@ class TestDlaplaceMoments:
     def test_random_lambdas_against_series(self):
         rng = np.random.default_rng(11)
         for lam in rng.uniform(0.05, 0.9, 5):
-            _, var, mean_abs = dlaplace_moments(lam)
+            _, var, mean_abs = dlaplace_moments(lam, lam)
             assert var == pytest.approx(
                 oracles.dlaplace_moment_by_series(lam, 2), rel=1e-10
             )
@@ -137,13 +147,40 @@ class TestDlaplaceMoments:
             )
 
 
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.5, math.exp(-1), 0.9, 1 - 1e-7])
+    def test_equal_parameters_collapse_exactly(self, lam):
+        mean, var, _ = dlaplace_moments(lam, lam)
+        assert mean == 0.0
+        assert var == 2 * lam / (1 - lam) ** 2
+
+    @pytest.mark.parametrize("eps", [2.0, 0.5, 1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("side", ["equal", "half", "third"])
+    def test_moments_against_rationals(self, eps, side):
+        # exact values from the pmf's geometric series, in rational
+        # arithmetic on the float parameters: sum_{z>=1} z x^z = x/(1-x)^2
+        # and sum_{z>=1} z^2 x^z = x(1+x)/(1-x)^3
+        lam = math.exp(-eps / 2)
+        mu = {"equal": lam, "half": lam / 2, "third": math.exp(-eps / 3)}[side]
+        x, y = Fraction(lam), Fraction(mu)
+        norm = (1 - x) * (1 - y) / (1 - x * y)
+        s1 = [t / (1 - t) ** 2 for t in (x, y)]
+        s2 = [t * (1 + t) / (1 - t) ** 3 for t in (x, y)]
+        m1 = norm * (s1[0] - s1[1])
+        exact = (m1, norm * (s2[0] + s2[1]) - m1**2, norm * (s1[0] + s1[1]))
+        for value, want in zip(dlaplace_moments(lam, mu), exact):
+            if want == 0:
+                assert value == 0.0
+            else:
+                assert abs(Fraction(value) / want - 1) <= 1e-15
+
+
 class TestDlaplaceTail:
     def test_at_zero(self):
-        assert dlaplace_tail(0, 0.5) == pytest.approx(2 / 3, abs=1e-15)
-        assert dlaplace_tail(0, 0.5, n=1) == pytest.approx(2 / 3, abs=1e-15)
+        assert dlaplace_tail(0, 0.5, 0.5) == pytest.approx(2 / 3, abs=1e-15)
+        assert dlaplace_tail(0, 0.5, 0.5, n=1) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_floor_in_threshold(self):
-        assert dlaplace_tail(2.7, 0.5) == dlaplace_tail(2.0, 0.5)
+        assert dlaplace_tail(2.7, 0.5, 0.5) == dlaplace_tail(2.0, 0.5, 0.5)
 
     def test_max_tail_against_monte_carlo(self):
         lam = math.exp(-1)
@@ -152,30 +189,25 @@ class TestDlaplaceTail:
         rng = np.random.default_rng(12)
         draws = np.abs(sample_noise(mech, trials * per, rng)).reshape(trials, per)
         hit = float(np.mean(draws.max(axis=1) > 3))
-        p = dlaplace_tail(3, lam, n=per)
+        p = dlaplace_tail(3, lam, lam, n=per)
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(hit - p) <= 3 * se
 
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_bad_n_is_rejected(self, n):
+        # not truncated or read as 1: n = 2.5 once gave a tail of 0.637
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+            dlaplace_tail(0, 0.5, 0.5, n=n)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0])
+    def test_bad_threshold_is_rejected(self, c):
+        with pytest.raises(ValueError, match="^c must be finite and >= 0, got "):
+            dlaplace_tail(c, 0.5, 0.5)
+
 
 class TestSkewDlaplace:
-    def test_collapses_to_symmetric(self):
-        lam = 0.5
-        z = np.arange(-20, 21)
-        np.testing.assert_allclose(
-            skew_dlaplace_pmf(z, lam, lam), dlaplace_pmf(z, lam), atol=1e-14
-        )
-        mean, var, mean_abs = skew_dlaplace_moments(lam, lam)
-        s_mean, s_var, s_mean_abs = dlaplace_moments(lam)
-        assert abs(mean - s_mean) <= 1e-14
-        assert abs(var - s_var) <= 1e-14
-        assert abs(mean_abs - s_mean_abs) <= 1e-14
-        for c in (0, 1, 2.5, 7):
-            assert abs(
-                skew_dlaplace_tail(c, lam, lam) - dlaplace_tail(c, lam)
-            ) <= 1e-14
-
     def test_mean_formula(self):
-        mean, _, _ = skew_dlaplace_moments(0.5, 0.25)
+        mean, _, _ = dlaplace_moments(0.5, 0.25)
         assert mean == pytest.approx(0.5 / 0.5 - 0.25 / 0.75, abs=1e-14)
         assert mean == pytest.approx(2 / 3, abs=1e-14)
 
@@ -183,7 +215,7 @@ class TestSkewDlaplace:
         rng = np.random.default_rng(13)
         for _ in range(5):
             lam, mu = rng.uniform(0.05, 0.9, 2)
-            mean, var, mean_abs = skew_dlaplace_moments(lam, mu)
+            mean, var, mean_abs = dlaplace_moments(lam, mu)
             m1 = oracles.skew_dlaplace_moment_by_series(lam, mu, 1, absolute=False)
             m2 = oracles.skew_dlaplace_moment_by_series(lam, mu, 2, absolute=False)
             a1 = oracles.skew_dlaplace_moment_by_series(lam, mu, 1, absolute=True)
@@ -192,11 +224,11 @@ class TestSkewDlaplace:
             assert mean_abs == pytest.approx(a1, abs=1e-10)
 
     def test_tail_value(self):
-        assert skew_dlaplace_tail(0, 0.5, 0.25) == pytest.approx(4 / 7, abs=1e-14)
+        assert dlaplace_tail(0, 0.5, 0.25) == pytest.approx(4 / 7, abs=1e-14)
 
     def test_pmf_sums_to_one(self):
         z = np.arange(-200, 201)
-        assert skew_dlaplace_pmf(z, 0.6, 0.3).sum() == pytest.approx(1.0, abs=1e-12)
+        assert dlaplace_pmf(z, 0.6, 0.3).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampleNoise:
@@ -214,7 +246,7 @@ class TestSampleNoise:
         n = 1_000_000
         draws = sample_noise(mech, n, seed=14)
         for z in range(-2, 3):
-            p = dlaplace_pmf(z, lam)
+            p = dlaplace_pmf(z, lam, lam)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(np.mean(draws == z) - p) <= 3 * se
 
@@ -224,7 +256,7 @@ class TestSampleNoise:
         )
         n = 1_000_000
         draws = sample_noise(mech, n, seed=15)
-        mean, var, _ = skew_dlaplace_moments(0.5, 0.25)
+        mean, var, _ = dlaplace_moments(0.5, 0.25)
         se = math.sqrt(var / n)
         assert abs(draws.mean() - mean) <= 3 * se
 
@@ -236,7 +268,7 @@ class TestSampleNoise:
                 "symmetric", lam, lam, epsilon=-2 * math.log(lam), sensitivity=2
             )
             draws = sample_noise(mech, n, seed=int(lam * 1e6))
-            _, var, _ = dlaplace_moments(lam)
+            _, var, _ = dlaplace_moments(lam, lam)
             kurt = oracles.dlaplace_moment_by_series(lam, 4)
             se_mean = math.sqrt(var / n)
             se_var = math.sqrt((kurt - var**2) / n)
@@ -337,13 +369,14 @@ class TestWorstCaseLogRatio:
         for eps in (0.7, 2.0):
             mech = calibrate(eps)
             ss = np.arange(-25, 26)
-            logp = np.log(dlaplace_pmf(ss, mech.lam))
+            lam = mech.lam
+            logp = np.log(dlaplace_pmf(ss, lam, lam))
             for u1 in (-1, 0, 1):
                 for u2 in (-1, 0, 1):
                     if abs(u1) + abs(u2) != 2:
                         continue
-                    d1 = logp[5:-5] - np.log(dlaplace_pmf(ss[5:-5] - u1, mech.lam))
-                    d2 = logp[5:-5] - np.log(dlaplace_pmf(ss[5:-5] - u2, mech.lam))
+                    d1 = logp[5:-5] - np.log(dlaplace_pmf(ss[5:-5] - u1, lam, lam))
+                    d2 = logp[5:-5] - np.log(dlaplace_pmf(ss[5:-5] - u2, lam, lam))
                     assert np.max(d1[:, None] + d2[None, :]) <= eps + 1e-12
 
     def test_window_precondition(self):
