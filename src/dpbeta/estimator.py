@@ -41,9 +41,11 @@ n = 100 a sequence has some 40 classes, so a solve alone costs mostly
 numpy call overhead, which a round's kernel pass shares.  Where some
 sequences of a group reject a step that the others accept, the group
 splits, and the rejecters go on from their last point as a group of their
-own.  Every operation on the shared arrays works entry by entry or within
-one sequence's entries, so a sequence's result is bit-identical to solving
-it alone, whatever its batch-mates.  ``solve`` is the batch of one.
+own.  A group's arrays hold its own sequences only: a split lays each half
+out anew, and a group drops the sequences that end.  Every operation on a
+group's arrays works entry by entry or within one sequence's entries, so a
+sequence's result is bit-identical to solving it alone, whatever its
+batch-mates.  ``solve`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -207,6 +209,9 @@ def solve_many(
     rejecters go on as a group of their own from their last point, with the
     diagonal steps ended or the step halved, as each would alone.  A
     sequence whose Newton direction is singular or non-finite ends there.
+    A group's arrays cover exactly its own sequences: the sequences that
+    end leave it, and at a split the rejecters are laid out alone, with
+    their own points, residuals, directions and variances.
 
     A sequence's result does not depend on the others in its batch, to the
     last bit: the kernel and its sums over weight classes work entry by
@@ -258,12 +263,12 @@ def _iterate(d, counts, node_class, n, q, tol, max_iter):
     each one ends.
 
     A group's schedule is three numbers: the steps taken, the diagonal steps
-    left and the Newton step length.  Its point lies in the layout of the
-    sequences it was evaluated for: per class the point beta, the residual
+    left and the Newton step length.  Its point covers exactly its own
+    sequences, laid out side by side: per class the point beta, the residual
     f and the direction, per pair the variances of that pass, each
-    sequence's class pairs side by side, then every class's own pair.  A
-    sequence that ends or splits off stays in that layout, masked out of
-    ``live``; the next candidate is laid out for the live sequences alone.
+    sequence's class pairs, then every class's own pair.  Once the ended
+    sequences are yielded the group is cut to those still going, and where
+    it splits each half is cut to its own, so no two groups share an array.
     """
 
     def lay_out(seqs):
@@ -285,20 +290,29 @@ def _iterate(d, counts, node_class, n, q, tol, max_iter):
         f = d_here - _node_sums(cls, mean)
         return f, np.maximum.reduceat(np.abs(f), starts), pair_var
 
+    def narrow(keep, layout, beta, f, fnorm, var, delta):
+        """The state of the sequences that keep selects, in a layout of
+        their own; the state itself if keep selects them all."""
+        if keep.all():
+            return layout, beta, f, fnorm, var, delta
+        seqs, sizes = layout[:2]
+        at = keep.repeat(sizes)
+        pairs = np.concatenate((keep.repeat(sizes * (sizes - 1) // 2), at))
+        here = lay_out([r for r, on in zip(seqs, keep.tolist()) if on])
+        return here, beta[at], f[at], fnorm[keep], var[pairs], delta[at]
+
     layout = lay_out(list(range(len(d))))
     beta = _one_class_roots(np.concatenate(d), n, q)
     f, fnorm, var = evaluate(layout, beta)
-    live, delta = np.ones(len(d), dtype=bool), np.zeros(beta.shape[0])
-    groups = [(layout, live, beta, f, fnorm, var, delta, 0, _DIAGONAL_STEPS, 1.0)]
+    delta = np.zeros(beta.shape[0])
+    groups = [(layout, beta, f, fnorm, var, delta, 0, _DIAGONAL_STEPS, 1.0)]
     cells = {}  # per class count k, the cells a*k + b of its class pairs a < b
 
     while groups:
-        layout, live, beta, f, fnorm, var, delta, iterations, diagonal, step = (
-            groups.pop()
-        )
+        layout, beta, f, fnorm, var, delta, iterations, diagonal, step = groups.pop()
         seqs, sizes, cls, _, starts, pair_starts = layout
         converged = fnorm <= tol
-        going = live & ~converged & (iterations < max_iter and step >= _MIN_STEP)
+        going = ~converged & (iterations < max_iter and step >= _MIN_STEP)
         if not diagonal and step == 1.0:  # not halving: a new Newton direction
             rhs = cls.c * f
             for i in np.flatnonzero(going).tolist():
@@ -314,9 +328,9 @@ def _iterate(d, counts, node_class, n, q, tol, max_iter):
                 del jac  # K-by-K: not to be held through the next kernel pass
                 going[i] = np.isfinite(delta[at]).all()
 
-        if (live & converged).any():
+        if converged.any():
             v_hat = _node_sums(cls, var)
-        for i in np.flatnonzero(live & ~going).tolist():
+        for i in np.flatnonzero(~going).tolist():
             fit = FitResult(
                 status=STATUS_CONVERGED if converged[i] else STATUS_DIVERGED,
                 n=n,
@@ -333,23 +347,18 @@ def _iterate(d, counts, node_class, n, q, tol, max_iter):
         if not going.any():
             continue
 
-        cand = beta + (f / _node_sums(cls, var) if diagonal else step * delta)
-        here, moved = layout, delta  # a split's two groups share it: each
-        # writes the direction of its own live sequences only
-        if not going.all():  # lay out only the sequences still going
-            keep = going.repeat(sizes)
-            here = lay_out([r for r, on in zip(seqs, going.tolist()) if on])
-            cand, moved = cand[keep], delta[keep]
-        fc, cnorm, var_c = evaluate(here, cand)
-        better = cnorm < fnorm[going]
+        state = narrow(going, layout, beta, f, fnorm, var, delta)
+        layout, beta, f, fnorm, var, delta = state
+        cand = beta + (f / _node_sums(layout[2], var) if diagonal else step * delta)
+        fc, cnorm, var_c = evaluate(layout, cand)
+        better = cnorm < fnorm
         if not better.all():  # the rejecters split off, from their last point
-            rejecters = going.copy()
-            rejecters[going] = ~better
             rejected = iterations, 0, step if diagonal else 0.5 * step
-            groups.append((layout, rejecters, beta, f, fnorm, var, delta, *rejected))
+            groups.append((*narrow(~better, *state), *rejected))
         if better.any():
             accepted = iterations + 1, max(diagonal - 1, 0), 1.0
-            groups.append((here, better, cand, fc, cnorm, var_c, moved, *accepted))
+            moved = layout, cand, fc, cnorm, var_c, delta
+            groups.append((*narrow(better, *moved), *accepted))
 
 
 def _lu(jac, b):

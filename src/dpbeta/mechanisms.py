@@ -89,9 +89,9 @@ def calibrate(
         sets min(lam, mu) = exp(-epsilon / sensitivity) and scales the other
         parameter by ``skew_ratio`` = lam / mu.
     skew_ratio:
-        Required for kind="skew"; must be > 0 and must not push the larger
-        parameter to 1 or above.  Given with kind="symmetric", it raises
-        CalibrationError.
+        Required for kind="skew"; a number (not a bool, not NaN) > 0 that
+        must not push the larger parameter to 1 or above.  Given with
+        kind="symmetric", it raises CalibrationError.
     """
     if isinstance(epsilon, (bool, np.bool_)):  # float(True) would calibrate eps = 1
         raise CalibrationError(f"epsilon must be a number, got {epsilon!r}.")
@@ -115,8 +115,12 @@ def calibrate(
         return NoiseMechanism("symmetric", base, base, epsilon, sensitivity)
     if kind != "skew":
         raise CalibrationError(f"unknown mechanism kind {kind!r}.")
-    if skew_ratio is None or skew_ratio <= 0:
-        raise CalibrationError("skew calibration needs skew_ratio > 0.")
+    if isinstance(skew_ratio, (bool, np.bool_)):  # True would calibrate ratio 1
+        raise CalibrationError(f"skew_ratio must be a number, got {skew_ratio!r}.")
+    if skew_ratio is None or not skew_ratio > 0:  # NaN compares false
+        raise CalibrationError(
+            f"skew calibration needs skew_ratio > 0, got {skew_ratio!r}."
+        )
 
     # skew_ratio = lam / mu; the smaller of the two is pinned to base.
     if skew_ratio >= 1.0:

@@ -6,8 +6,8 @@ its weight independently with
     P(a_ij = k) = exp(k * s) / sum_l exp(l * s),    s = alpha_i + alpha_j,
 
 so the degree sequence d_i = sum_{j != i} a_ij is sufficient for alpha.
-This module provides graph sampling, the expected degree map and its
-Jacobian (which equals the covariance matrix of d).
+This module provides graph sampling and the kernels of the expected
+degree map and its Jacobian (which equals the covariance matrix of d).
 
 Each of these is a moment of that one q-class softmax, and all of them come
 from one kernel, ``_shifted_exponentials``: for pair sums s it returns the
@@ -46,9 +46,7 @@ and the variance of every class pair, so a solver that checks its inputs
 once can evaluate E(d) and the Jacobian at a point for the price of one
 pass.  The classes of several degree sequences can share one layout and
 one pass; the kernel computes each pair's moments on their own, so they
-are the same as in a pass over its sequence alone.  ``expected_degrees``
-and ``degree_jacobian`` are the checking public wrappers over that core,
-with one node per class.
+are the same as in a pass over its sequence alone.
 """
 
 from __future__ import annotations
@@ -404,9 +402,10 @@ def _class_jacobian(
     its multiplicities c (k,) and the variances that ``_moments`` gives for
     it: pair (k(k-1)/2,) over its class pairs a < b and own (k,) over each
     class's own pair.  cells holds the indices a*k + b of the class pairs
-    a < b in a k-by-k matrix.  V is the node-level ``degree_jacobian`` and
-    P the n-by-k class-indicator matrix: entry (a, b) is c_a c_b v_ab off
-    the diagonal and c_a v_ii + c_a (c_a - 1) v_aa on it."""
+    a < b in a k-by-k matrix.  V is the n-by-n Jacobian of the expected
+    degrees, v_ij = Var(a_ij) off the diagonal and the row sums v_ii on it,
+    and P the n-by-k class-indicator matrix: entry (a, b) is c_a c_b v_ab
+    off the diagonal and c_a v_ii + c_a (c_a - 1) v_aa on it."""
     k = c.shape[0]
     c_own = c - 1.0
     v = np.zeros(k * k)
@@ -419,24 +418,3 @@ def _class_jacobian(
     v.reshape(k * k)[:: k + 1] = c * (v_ii + c_own * own)
     return v
 
-
-def expected_degrees(alpha, q: int) -> np.ndarray:
-    """Expected degree E(d_i) = sum_{j != i} E(a_ij), the mean edge weights
-    at the pair sums alpha_i + alpha_j."""
-    a, q = _as_alpha(alpha), _check_q(q)
-    cls = _classes(np.ones(a.shape[0]))
-    return _node_sums(cls, _moments(a, q, cls)[0])
-
-
-def degree_jacobian(alpha, q: int) -> np.ndarray:
-    """Jacobian of the expected-degree map; also the covariance matrix of d.
-
-    Off-diagonal entries are the edge-weight variances v_ij = Var(a_ij) > 0
-    and the diagonal carries the row sums v_ii = sum_{j != i} v_ij exactly,
-    so the matrix is symmetric positive definite on feasible problems.
-    """
-    a, q = _as_alpha(alpha), _check_q(q)
-    n = a.shape[0]
-    cls = _classes(np.ones(n))
-    var = _moments(a, q, cls)[1]
-    return _class_jacobian(cls.c, var[:-n], var[-n:], cls.iu * n + cls.ju)

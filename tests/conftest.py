@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dpbeta import model
+
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 
@@ -23,6 +25,25 @@ def dense(graph) -> np.ndarray:
     weights[graph.i, graph.j] = graph.w
     weights[graph.j, graph.i] = graph.w
     return weights
+
+
+def expected_degrees(alpha, q: int) -> np.ndarray:
+    """E(d_i) = sum_{j != i} E(a_ij) at alpha, from the model's moment
+    kernel with one class per node; the inputs are not checked."""
+    alpha = np.asarray(alpha, dtype=float)
+    cls = model._classes(np.ones(alpha.shape[0]))
+    return model._node_sums(cls, model._moments(alpha, q, cls)[0])
+
+
+def degree_jacobian(alpha, q: int) -> np.ndarray:
+    """The n-by-n Jacobian of E(d) at alpha, the covariance matrix of d,
+    from the model's moment kernel: the edge-weight variances v_ij off the
+    diagonal and their row sums v_ii on it; the inputs are not checked."""
+    alpha = np.asarray(alpha, dtype=float)
+    n = alpha.shape[0]
+    cls = model._classes(np.ones(n))
+    var = model._moments(alpha, q, cls)[1]
+    return model._class_jacobian(cls.c, var[:-n], var[-n:], cls.iu * n + cls.ju)
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,12 @@ moments come from raw, unshifted exponentials summed over the q support
 points (so they hold only for moderate pair sums, (q-1)|s| below ~700),
 noise moments from truncated series summation over the integer support,
 expected degrees from explicit pairwise summation of the scalar mean,
-Jacobians from central finite differences, the inverse Jacobian from
-dense inversion of the public ``degree_jacobian``, the moment equations are
-solved by cyclic coordinate bisection instead of Newton steps, and whether
-a root exists is read off every inequality of the degree polytope.  Edge
-lists are parsed one line at a time with ``str.split`` and ``int``.
+Jacobians from central finite differences of those sums, the inverse
+Jacobian from dense inversion of a matrix of enumerated weight variances,
+the moment equations are solved by cyclic coordinate bisection instead of
+Newton steps, and whether a root exists is read off every inequality of
+the degree polytope.  Edge lists are parsed one line at a time with
+``str.split`` and ``int``.  Nothing here imports the package.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ def expected_degrees_by_summation(alpha: np.ndarray, q: int) -> np.ndarray:
 def jacobian_by_finite_differences(
     alpha: np.ndarray, q: int, step: float = 1e-5
 ) -> np.ndarray:
-    """Central finite differences of the expected-degree map."""
-    from dpbeta.model import expected_degrees
-
+    """Central finite differences of ``expected_degrees_by_summation``."""
     n = len(alpha)
     jac = np.zeros((n, n))
     for j in range(n):
@@ -67,7 +66,9 @@ def jacobian_by_finite_differences(
         dn = alpha.copy()
         up[j] += step
         dn[j] -= step
-        jac[:, j] = (expected_degrees(up, q) - expected_degrees(dn, q)) / (2 * step)
+        jac[:, j] = (
+            expected_degrees_by_summation(up, q) - expected_degrees_by_summation(dn, q)
+        ) / (2 * step)
     return jac
 
 
@@ -87,19 +88,21 @@ _DENSE_INVERSE_CAP = 2000
 def inverse_approximation(alpha, q: int) -> InverseApproxReport:
     """Compare the exact inverse Jacobian with the diagonal approximation.
 
-    Computes V^{-1} by dense inversion and S with S_ij = delta_ij / v_ii,
-    returning the largest absolute entry of V^{-1} - S, the S diagonal, and
-    the sup-norm (max absolute row sum) of V^{-1}.  Dense inversion caps the
-    usable size at ``_DENSE_INVERSE_CAP`` nodes.
+    V has the enumerated weight variances Var(a_ij) off the diagonal and
+    their row sums v_ii on it.  Computes V^{-1} by dense inversion and S
+    with S_ij = delta_ij / v_ii, returning the largest absolute entry of
+    V^{-1} - S, the S diagonal, and the sup-norm (max absolute row sum) of
+    V^{-1}.  Dense inversion caps the usable size at ``_DENSE_INVERSE_CAP``
+    nodes.
     """
-    from dpbeta.model import degree_jacobian
-
     a = np.asarray(alpha, dtype=float)
     if a.shape[0] > _DENSE_INVERSE_CAP:
         raise ValueError(
             f"n={a.shape[0]} too large for dense inversion cap {_DENSE_INVERSE_CAP}."
         )
-    v = degree_jacobian(a, q)
+    v = np.array([[weight_variance_by_enumeration(x + y, q) for y in a] for x in a])
+    np.fill_diagonal(v, 0.0)
+    np.fill_diagonal(v, v.sum(axis=1))
     v_inv = np.linalg.inv(v)
     s_diag = 1.0 / np.diagonal(v)
     gap = v_inv - np.diag(s_diag)

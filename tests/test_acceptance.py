@@ -21,9 +21,10 @@ from dpbeta.mechanisms import (
     sample_noise,
     worst_case_log_ratio,
 )
-from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
+from dpbeta.model import sample_graph
 
 import oracles
+from conftest import degree_jacobian, expected_degrees
 
 SEED = 20260808
 

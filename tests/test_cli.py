@@ -1135,6 +1135,13 @@ class TestExitCodes:
                      "--eps", "0.1", "--kind", "skew", "--skew-ratio", "50",
                      "--out", str(tmp_path / "o.json")]) == 1
 
+    def test_nan_skew_ratio_is_usage_error(self, capsys):
+        assert main(["dpcheck", "--eps", "2", "--kind", "skew",
+                     "--skew-ratio", "nan"]) == 1
+        assert "skew calibration needs skew_ratio > 0, got nan." in (
+            capsys.readouterr().err
+        )
+
     def test_pipeline_nonexistent_is_exit_three(self, tmp_path):
         # two nodes, one edge: noisy degree at q=2 can only be feasible at 1;
         # huge noise makes the release infeasible for this seed

@@ -9,10 +9,11 @@ from scipy.stats import norm
 from dpbeta import estimator, model
 from dpbeta.estimator import contrast_ci, node_intervals, solve, solve_many
 from dpbeta.mechanisms import calibrate, sample_noise
-from dpbeta.model import degree_jacobian, expected_degrees, sample_graph
+from dpbeta.model import sample_graph
 from dpbeta.experiments import _noisy_degrees, _study_setup, child_seed, truth_profile
 
 import oracles
+from conftest import degree_jacobian, expected_degrees
 
 
 class TestResidual:
@@ -33,7 +34,7 @@ class TestResidual:
         )
 
     def test_definitional(self):
-        # the solver's root is a root of the public degree map
+        # the solver's root is a root of the model's degree map
         rng = np.random.default_rng(21)
         d_bar = expected_degrees(rng.uniform(-1, 1, 8), 3)
         fit = solve(d_bar, 3)

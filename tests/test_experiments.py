@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,22 @@ class TestChunking:
         rows = rate_study([20, 30], 3, "sqrtlog", reps=9, master_seed=3)
         monkeypatch.setattr(experiments, "_PAIR_BUDGET", 2**16)
         assert rows == rate_study([20, 30], 3, "sqrtlog", reps=9, master_seed=3)
+
+
+    def test_warm_call_memory(self):
+        # n=30, q=3, loglog: many solve groups split, and each half holds
+        # its own sequences' classes and variances only; groups that kept
+        # those of the whole chunk they were evaluated with peaked at 1.98 MB
+        spec = ExperimentSpec(n=30, q=3, l_mode="loglog", eps_mode="fixed:2",
+                              reps=200, master_seed=3)
+        run_experiment(spec)
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.85 * 2**20
 
 
 class TestReplicate:

@@ -50,6 +50,14 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="skew_ratio"):
             calibrate(2.0, 2, kind="symmetric", skew_ratio=ratio)
 
+    @pytest.mark.parametrize("ratio", [math.nan, True, np.True_])
+    def test_skew_ratio_nan_or_bool_fails(self, ratio):
+        # NaN passes no comparison and a bool would calibrate as ratio 1:
+        # both are named as skew_ratio, not as lam and mu out of range
+        with pytest.raises(CalibrationError, match="skew_ratio") as info:
+            calibrate(2.0, 2, kind="skew", skew_ratio=ratio)
+        assert repr(ratio) in str(info.value)
+
     def test_skew_ratio_pushing_param_past_one_fails(self):
         with pytest.raises(CalibrationError):
             calibrate(0.1, 2, kind="skew", skew_ratio=10.0)
