@@ -508,11 +508,24 @@ def _z(level: float) -> float:
 def contrast_ci(fit: FitResult, i, j, level: float = 0.95) -> ConfidenceInterval:
     """Interval alpha_hat_i - alpha_hat_j +- z * (1/v_ii + 1/v_jj)^(1/2).
 
-    ``i`` and ``j`` are node indices, or equal-length index arrays for one
-    interval per pair.
+    ``i`` and ``j`` are node indices in 0..n-1, or index arrays of equal
+    shape for one interval per pair.
     """
-    if np.any(np.asarray(i) == np.asarray(j)):
+    ii, jj = np.asarray(i), np.asarray(j)
+    if ii.shape != jj.shape:
+        raise ValueError(
+            f"i and j must have equal shape, got {ii.shape} and {jj.shape}."
+        )
+    if (ii == jj).any():
         raise ValueError("contrast needs two distinct nodes.")
+    nodes = np.concatenate((ii, jj), axis=None)
+    # checked, since a negative index would wrap to another node
+    if nodes.size and (
+        nodes.dtype.kind not in "iu" or not 0 <= nodes.min() <= nodes.max() < fit.n
+    ):
+        raise ValueError(
+            f"node indices must be integers in 0..{fit.n - 1}, got {i!r} and {j!r}."
+        )
     _require_converged(fit)
     z = _z(level)
     point = fit.alpha_hat[i] - fit.alpha_hat[j]

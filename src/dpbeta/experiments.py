@@ -110,8 +110,17 @@ class ExperimentSpec:
         epsilon_schedule(self.eps_mode, self.n)
         if self.pairs is None:
             self.pairs = default_pairs(self.n)
+        try:
+            pairs = [tuple(pair) for pair in self.pairs]
+        except TypeError:
+            pairs = []
+        if not pairs or any(len(pair) != 2 for pair in pairs):
+            raise ValueError(
+                f"pairs must be a non-empty sequence of node pairs (i, j), "
+                f"got {self.pairs!r}."
+            )
         self.pairs = tuple(
-            (_integer(i, "pair entry"), _integer(j, "pair entry")) for i, j in self.pairs
+            (_integer(i, "pair entry"), _integer(j, "pair entry")) for i, j in pairs
         )
         self.master_seed = _integer(self.master_seed, "master_seed", 0)
         for i, j in self.pairs:

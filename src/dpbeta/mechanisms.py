@@ -6,9 +6,9 @@ The noise follows one discrete Laplace law with parameters 0 < lam, mu < 1:
 
 the law of Z = G1 - G2 with G1, G2 independent geometric (number of
 failures) with success probabilities 1 - lam and 1 - mu (Kozubowski &
-Inusah 2006).  The symmetric mechanism is mu = lam, with pmf
-(1 - lam) / (1 + lam) * lam^|z|; the skew mechanism lets mu differ.  Adding
-one independent draw to each coordinate of a statistic with global
+Inusah 2006).  A mechanism is its (lam, mu): symmetric noise is mu = lam,
+with pmf (1 - lam) / (1 + lam) * lam^|z|, and skew noise lets mu differ.
+Adding one independent draw to each coordinate of a statistic with global
 sensitivity ``delta`` is (-delta * log(min(lam, mu)))-edge differentially
 private.  Sampling draws G1 and G2, which is exact and integer-only.
 
@@ -41,25 +41,19 @@ class CalibrationError(ValueError):
 class NoiseMechanism:
     """Calibrated noise distribution with its privacy accounting.
 
-    Invariants: 0 < lam < 1, 0 < mu < 1; for a symmetric mechanism mu == lam
-    and epsilon == -sensitivity * log(lam); for a skew mechanism
-    epsilon == -sensitivity * log(min(lam, mu)).
+    Invariants: 0 < lam < 1, 0 < mu < 1 and
+    epsilon == -sensitivity * log(min(lam, mu)).  The mechanism is
+    symmetric exactly when lam == mu.
     """
 
-    kind: str  # "symmetric" or "skew"
     lam: float
     mu: float
     epsilon: float
     sensitivity: int = DEGREE_SENSITIVITY
 
     def __post_init__(self):
-        if self.kind not in ("symmetric", "skew"):
-            raise ValueError(f"unknown mechanism kind {self.kind!r}.")
-        if not (0.0 < self.lam < 1.0 and 0.0 < self.mu < 1.0):
-            raise ValueError("lam and mu must lie strictly in (0, 1).")
+        _check_params(self.lam, self.mu)
         self.sensitivity = _integer(self.sensitivity, "sensitivity", 1)
-        if self.kind == "symmetric" and self.mu != self.lam:
-            raise ValueError("symmetric mechanism requires mu == lam.")
         implied = -self.sensitivity * math.log(min(self.lam, self.mu))
         if not math.isclose(self.epsilon, implied, rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError(
@@ -79,23 +73,21 @@ def calibrate(
     Parameters
     ----------
     epsilon:
-        Privacy parameter, finite and > 0, such that
+        Privacy parameter, a number (not a bool), finite and > 0, such that
         exp(-epsilon / sensitivity) rounds to neither 0 nor 1.
     sensitivity:
         Global l1 sensitivity of the released statistic (2 for degrees), a
         positive integer.
     kind:
-        "symmetric" sets lam = mu = exp(-epsilon / sensitivity).  "skew"
-        sets min(lam, mu) = exp(-epsilon / sensitivity) and scales the other
-        parameter by ``skew_ratio`` = lam / mu.
+        "symmetric" sets lam = mu = exp(-epsilon / sensitivity), which is
+        skew_ratio 1.  "skew" sets min(lam, mu) = exp(-epsilon / sensitivity)
+        and scales the other parameter by ``skew_ratio`` = lam / mu.
     skew_ratio:
         Required for kind="skew"; a number (not a bool, not NaN) > 0 that
         must not push the larger parameter to 1 or above.  Given with
         kind="symmetric", it raises CalibrationError.
     """
-    if isinstance(epsilon, (bool, np.bool_)):  # float(True) would calibrate eps = 1
-        raise CalibrationError(f"epsilon must be a number, got {epsilon!r}.")
-    epsilon = float(epsilon)
+    epsilon = _number(epsilon, "epsilon")
     if not 0 < epsilon < math.inf:
         raise CalibrationError(f"epsilon must be finite and > 0, got {epsilon}.")
     # truncating a sensitivity of 2.7 to 2 would calibrate too little noise
@@ -112,26 +104,34 @@ def calibrate(
             raise CalibrationError(
                 "skew_ratio applies to kind='skew' only; symmetric noise has lam = mu."
             )
-        return NoiseMechanism("symmetric", base, base, epsilon, sensitivity)
-    if kind != "skew":
-        raise CalibrationError(f"unknown mechanism kind {kind!r}.")
-    if isinstance(skew_ratio, (bool, np.bool_)):  # True would calibrate ratio 1
-        raise CalibrationError(f"skew_ratio must be a number, got {skew_ratio!r}.")
-    if skew_ratio is None or not skew_ratio > 0:  # NaN compares false
-        raise CalibrationError(
-            f"skew calibration needs skew_ratio > 0, got {skew_ratio!r}."
-        )
-
-    # skew_ratio = lam / mu; the smaller of the two is pinned to base.
-    if skew_ratio >= 1.0:
-        mu, lam = base, base * skew_ratio
+        ratio = 1.0
+    elif kind == "skew":
+        ratio = None if skew_ratio is None else _number(skew_ratio, "skew_ratio")
+        if ratio is None or not ratio > 0:  # NaN compares false
+            raise CalibrationError(
+                f"skew calibration needs skew_ratio > 0, got {skew_ratio!r}."
+            )
     else:
-        lam, mu = base, base / skew_ratio
+        raise CalibrationError(f"unknown mechanism kind {kind!r}.")
+
+    # ratio = lam / mu; the smaller is pinned to base (base * 1.0 is base)
+    lam, mu = (base * ratio, base) if ratio >= 1.0 else (base, base / ratio)
     if max(lam, mu) >= 1.0:
         raise CalibrationError(
             f"skew_ratio={skew_ratio} pushes max(lam, mu)={max(lam, mu)} to >= 1."
         )
-    return NoiseMechanism("skew", lam, mu, epsilon, sensitivity)
+    return NoiseMechanism(lam, mu, epsilon, sensitivity)
+
+
+def _number(value, name: str) -> float:
+    """value as a float; a bool (float(True) would read as 1) or anything
+    float() refuses raises CalibrationError naming the parameter."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise CalibrationError(f"{name} must be a number, got {value!r}.")
 
 
 def theory_epsilon_floor(n: int) -> float:
@@ -165,13 +165,6 @@ def _log_pmf(z, lam: float, mu: float):
     return log_norm + np.where(z >= 0, z * math.log(lam), -z * math.log(mu))
 
 
-def dlaplace_pmf(z, lam: float, mu: float):
-    """pmf at integer z: proportional to lam^z for z >= 0, mu^|z| for z <= 0."""
-    _check_params(lam, mu)
-    out = np.exp(_log_pmf(np.asarray(z), lam, mu))
-    return float(out) if out.ndim == 0 else out
-
-
 def dlaplace_moments(lam: float, mu: float) -> tuple[float, float, float]:
     """(mean, variance, E|Z|) of Z = G1 - G2 (see the module docstring):
     mean = lam/(1-lam) - mu/(1-mu), variance = lam/(1-lam)^2 + mu/(1-mu)^2
@@ -183,24 +176,6 @@ def dlaplace_moments(lam: float, mu: float) -> tuple[float, float, float]:
     r = (1.0 - mu) / (1.0 - lam)
     mean_abs = (lam * r + mu / r) / ((1.0 - lam) + lam * (1.0 - mu))
     return mean, variance, mean_abs
-
-
-def dlaplace_tail(c: float, lam: float, mu: float, n: Optional[int] = None) -> float:
-    """P(|Z| > c), or P(max of n iid |Z_i| > c) when n is given.
-
-    With k = floor(c) + 1,
-    P(|Z| > c) = [(1-mu) lam^k + (1-lam) mu^k] / (1 - lam mu).
-    """
-    _check_params(lam, mu)
-    if not 0 <= c < math.inf:
-        raise ValueError(f"c must be finite and >= 0, got {c!r}.")
-    k = math.floor(c) + 1
-    single = ((1.0 - mu) * lam**k + (1.0 - lam) * mu**k) / (
-        (1.0 - lam) + lam * (1.0 - mu)
-    )
-    if n is None:
-        return single
-    return 1.0 - (1.0 - single) ** _integer(n, "n", 1)
 
 
 def _check_params(lam: float, mu: float) -> None:
@@ -232,30 +207,29 @@ def sample_noise(mechanism: NoiseMechanism, size: int, seed=None) -> np.ndarray:
 class DegreeRelease:
     """A noisy degree sequence together with its provenance.
 
-    ``d_bar = d + e`` elementwise; entries may be negative or exceed the
-    largest attainable degree, and are never clamped.  The true degrees and
-    the noise are kept out of the default serialization.
+    ``d_bar`` is derived, ``d + e`` elementwise; its entries may be negative
+    or exceed the largest attainable degree, and are never clamped.  The
+    true degrees and the noise are kept out of the default serialization.
     """
 
     d: np.ndarray
     e: np.ndarray
-    d_bar: np.ndarray
     mechanism: NoiseMechanism
     seed: Optional[int] = None
     q: Optional[int] = None
 
     def __post_init__(self):
-        self.d, self.e, self.d_bar = (
-            _integer_array(getattr(self, k), k) for k in ("d", "e", "d_bar")
-        )
-        if not (self.d.shape == self.e.shape == self.d_bar.shape):
-            raise ValueError("d, e and d_bar must have equal length.")
-        if not np.array_equal(self.d_bar, self.d + self.e):
-            raise ValueError("d_bar must equal d + e.")
+        self.d, self.e = (_integer_array(getattr(self, k), k) for k in ("d", "e"))
+        if self.d.shape != self.e.shape:
+            raise ValueError("d and e must have equal length.")
+
+    @property
+    def d_bar(self) -> np.ndarray:
+        return self.d + self.e
 
     @property
     def n(self) -> int:
-        return self.d_bar.shape[0]
+        return self.d.shape[0]
 
     def to_dict(self, debug: bool = False) -> dict:
         """JSON-ready mapping; ``debug`` adds the private d and e vectors."""
@@ -300,9 +274,7 @@ def release_degrees(
     d = _integer_array(d, "d")
     e = sample_noise(mechanism, d.shape[0], seed)
     stored_seed = seed if isinstance(seed, int) else None
-    return DegreeRelease(
-        d=d, e=e, d_bar=d + e, mechanism=mechanism, seed=stored_seed, q=q
-    )
+    return DegreeRelease(d=d, e=e, mechanism=mechanism, seed=stored_seed, q=q)
 
 
 def worst_case_log_ratio(mechanism: NoiseMechanism, window: int = 50) -> float:
@@ -319,25 +291,11 @@ def worst_case_log_ratio(mechanism: NoiseMechanism, window: int = 50) -> float:
     if window < delta + 1:
         raise ValueError(f"window must be >= sensitivity + 1 = {delta + 1}.")
 
-    zmin, zmax = -window - delta, window + delta
-    zs = np.arange(zmin, zmax + 1)
+    zs = np.arange(-window - delta, window + delta + 1)
     logp = _log_pmf(zs, mechanism.lam, mechanism.mu)
-
-    def idx(z: np.ndarray) -> np.ndarray:
-        return z - zmin
-
-    s = np.arange(-window, window + 1)
-    # best single-coordinate gain for each shift u
-    gain = {}
-    for u in range(-delta, delta + 1):
-        gain[u] = float(np.max(logp[idx(s)] - logp[idx(s - u)]))
-
-    best = -math.inf
-    for u1 in range(-delta, delta + 1):
-        for u2 in range(-delta, delta + 1):
-            if u1 == 0 and u2 == 0:
-                continue
-            if abs(u1) + abs(u2) > delta:
-                continue
-            best = max(best, gain[u1] + gain[u2])
-    return best
+    u = np.arange(-delta, delta + 1)
+    s = np.arange(2 * window + 1) + delta  # outputs -window..window, as indices
+    # each shift's best one-coordinate gain, then the best pair of l1 norm 1..delta
+    gain = np.max(logp[s] - logp[s - u[:, None]], axis=1)
+    l1 = np.abs(u)[:, None] + np.abs(u)
+    return float(np.max((gain[:, None] + gain)[(l1 > 0) & (l1 <= delta)]))

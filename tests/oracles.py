@@ -122,17 +122,32 @@ def dlaplace_moment_by_series(lam: float, power: int, zmax: int = 400) -> float:
     return total
 
 
+def dlaplace_pmf_closed_form(z, lam: float) -> np.ndarray:
+    """Symmetric discrete Laplace pmf (1 - lam) / (1 + lam) * lam^|z|."""
+    return (1.0 - lam) / (1.0 + lam) * lam ** np.abs(z)
+
+
+def dlaplace_max_tail(c: float, lam: float, n: int) -> float:
+    """P(max of n iid |Z_i| > c) for the symmetric law, from
+    P(|Z| > c) = 2 lam^k / (1 + lam) with k = floor(c) + 1."""
+    single = 2.0 * lam ** (math.floor(c) + 1) / (1.0 + lam)
+    return 1.0 - (1.0 - single) ** n
+
+
+def skew_dlaplace_pmf(z, lam: float, mu: float) -> np.ndarray:
+    """Skew law pmf (1-lam)(1-mu)/(1-lam mu) * (lam^z for z >= 0, mu^-z below)."""
+    z = np.asarray(z)
+    norm = (1.0 - lam) * (1.0 - mu) / (1.0 - lam * mu)
+    return norm * np.where(z >= 0, lam ** np.abs(z), mu ** np.abs(z))
+
+
 def skew_dlaplace_moment_by_series(
     lam: float, mu: float, power: int, absolute: bool, zmax: int = 400
 ) -> float:
     """E Z^power or E |Z|^power for the skew law, by summation."""
-    norm = (1.0 - lam) * (1.0 - mu) / (1.0 - lam * mu)
-    total = 0.0
-    for z in range(-zmax, zmax + 1):
-        p = norm * (lam**z if z >= 0 else mu ** (-z))
-        base = abs(z) if absolute else z
-        total += base**power * p
-    return total
+    z = np.arange(-zmax, zmax + 1)
+    base = np.abs(z) if absolute else z
+    return float(np.sum(base.astype(float) ** power * skew_dlaplace_pmf(z, lam, mu)))
 
 
 def gauss_seidel_bisect(

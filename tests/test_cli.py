@@ -925,6 +925,13 @@ class TestExitCodes:
             (["rate", "--config", "{cfg}"], {"cfg": '{"n_list": 5}'}, None,
              "error: n_list must be a list of sizes, got 5."),
             (["rate", "--n-list", "20"], {}, None, "error: --q is required."),
+            (["simulate", "--n", "10", "--q", "3", "--reps", "5", "--config", "{cfg}"],
+             {"cfg": '{"pairs": []}'}, None,
+             "error: pairs must be a non-empty sequence of node pairs (i, j), got []."),
+            (["simulate", "--n", "10", "--q", "3", "--reps", "5", "--config", "{cfg}"],
+             {"cfg": '{"pairs": [[1, 2, 3]]}'}, None,
+             "error: pairs must be a non-empty sequence of node pairs (i, j), "
+             "got [[1, 2, 3]]."),
             # JSON faults in a config or release file: data errors
             (["simulate", "--config", "{cfg}"], {"cfg": "{x"}, None,
              "data error: config file {cfg}: Expecting property name enclosed "
@@ -942,7 +949,8 @@ class TestExitCodes:
         ids=[
             "alpha-list", "alpha-and-L", "n-and-alpha", "no-n-or-alpha", "seed-env",
             "pair-shape", "pair-integers", "no-n", "qq-pairs", "no-n-list",
-            "n-list-type", "rate-no-q", "config-json", "config-object",
+            "n-list-type", "rate-no-q", "config-pairs-empty", "config-pairs-triple",
+            "config-json", "config-object",
             "release-json", "release-d_bar", "release-q",
         ],
     )

@@ -697,6 +697,25 @@ class TestIntervals:
         with pytest.raises(ValueError, match="distinct"):
             contrast_ci(fit, i, np.array([1, 2, 0]))
 
+    @pytest.mark.parametrize(
+        "i, j", [(3, -1), (-1, 0), (0, 8), (np.array([0, 1]), np.array([2, -3]))]
+    )
+    def test_node_outside_range_is_rejected(self, fit, i, j):
+        # -1 would wrap to node 7: a contrast of a node the caller never named
+        message = r"^node indices must be integers in 0\.\.7,"
+        with pytest.raises(ValueError, match=message):
+            contrast_ci(fit, i, j)
+
+    def test_wrapped_self_contrast_is_rejected(self):
+        # -1 is node 3 here, so this once gave point 0.0 and se 1.198
+        with pytest.raises(ValueError, match="node indices"):
+            contrast_ci(solve([3, 4, 5, 4], 3), 3, -1)
+
+    def test_index_arrays_of_unequal_shape_are_rejected(self, fit):
+        # not broadcast to two intervals
+        with pytest.raises(ValueError, match="equal shape"):
+            contrast_ci(fit, np.array([0, 1]), np.array([2]))
+
     def test_standardized_contrast(self, fit):
         # xi = (point - true contrast) / se, as run_experiment records it
         i, j = np.array([0, 2]), np.array([1, 3])

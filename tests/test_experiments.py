@@ -90,6 +90,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(n=10, q=2, pairs=((1, 11),))
 
+    @pytest.mark.parametrize(
+        "pairs", [(), [], [[1, 2, 3]], [[1]], [(1, 2), (3,)], 5],
+        ids=["empty-tuple", "empty-list", "triple", "single", "short-second", "int"],
+    )
+    def test_rejects_malformed_pairs(self, pairs):
+        # named up front, not an unpacking error inside run_experiment
+        with pytest.raises(ValueError, match="^pairs must be a non-empty sequence"):
+            ExperimentSpec(n=10, q=3, reps=5, pairs=pairs)
+
     def test_rejects_bad_level_and_reps(self):
         with pytest.raises(ValueError):
             ExperimentSpec(n=10, q=2, level=1.0)

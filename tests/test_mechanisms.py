@@ -10,9 +10,8 @@ from dpbeta.mechanisms import (
     DegreeRelease,
     NoiseMechanism,
     calibrate,
+    _log_pmf,
     dlaplace_moments,
-    dlaplace_pmf,
-    dlaplace_tail,
     release_degrees,
     sample_noise,
     worst_case_log_ratio,
@@ -28,7 +27,6 @@ class TestCalibrate:
 
     def test_symmetric_has_equal_parameters(self):
         m = calibrate(2.0)
-        assert m.kind == "symmetric"
         assert m.lam == m.mu
         assert m.sensitivity == 2
 
@@ -57,6 +55,29 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="skew_ratio") as info:
             calibrate(2.0, 2, kind="skew", skew_ratio=ratio)
         assert repr(ratio) in str(info.value)
+
+    @pytest.mark.parametrize("eps", [0.01, 1.0, 2.0, 7.3, 40.0])
+    def test_symmetric_is_skew_ratio_one(self, eps):
+        # one formula: base * 1.0 is base, so lam and mu keep their bits
+        assert calibrate(eps) == calibrate(eps, kind="skew", skew_ratio=1.0)
+
+    @pytest.mark.parametrize("ratio", [[2], "two", None, object()])
+    def test_non_numeric_skew_ratio_fails(self, ratio):
+        # a CalibrationError naming skew_ratio, not a bare TypeError
+        with pytest.raises(CalibrationError, match="skew_ratio"):
+            calibrate(2.0, 2, kind="skew", skew_ratio=ratio)
+
+    @pytest.mark.parametrize("eps", [None, [2], "two"])
+    def test_non_numeric_epsilon_fails(self, eps):
+        with pytest.raises(CalibrationError, match="^epsilon must be a number, got "):
+            calibrate(eps)
+
+    def test_numeric_strings_are_read_as_numbers(self):
+        # epsilon and skew_ratio go through one reader
+        assert calibrate("2") == calibrate(2.0)
+        assert calibrate(2.0, kind="skew", skew_ratio="0.5") == calibrate(
+            2.0, kind="skew", skew_ratio=0.5
+        )
 
     def test_skew_ratio_pushing_param_past_one_fails(self):
         with pytest.raises(CalibrationError):
@@ -93,38 +114,42 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="sensitivity must be an integer >= 1"):
             calibrate(2.0, sensitivity=sensitivity)
         with pytest.raises(ValueError, match="sensitivity must be an integer >= 1"):
-            NoiseMechanism("symmetric", 0.5, 0.5, 1.0, sensitivity=sensitivity)
+            NoiseMechanism(0.5, 0.5, 1.0, sensitivity=sensitivity)
 
     def test_mechanism_invariant_enforced(self):
         with pytest.raises(ValueError):
-            NoiseMechanism("symmetric", 0.5, 0.5, epsilon=1.0, sensitivity=2)
-        # consistent record passes
-        NoiseMechanism("symmetric", 0.5, 0.5, epsilon=-2 * math.log(0.5), sensitivity=2)
+            NoiseMechanism(0.5, 0.5, epsilon=1.0, sensitivity=2)
+        with pytest.raises(ValueError, match="mu must lie strictly in"):
+            NoiseMechanism(0.5, 1.0, epsilon=-2 * math.log(0.5), sensitivity=2)
+        # consistent records pass; epsilon follows the smaller parameter
+        NoiseMechanism(0.5, 0.5, epsilon=-2 * math.log(0.5), sensitivity=2)
+        NoiseMechanism(0.5, 0.25, epsilon=-2 * math.log(0.25), sensitivity=2)
 
 
 class TestDlaplacePmf:
+    """The log-pmf that ``worst_case_log_ratio`` scans."""
+
     def test_values(self):
-        assert dlaplace_pmf(0, 0.5, 0.5) == pytest.approx(1 / 3, abs=1e-15)
-        assert dlaplace_pmf(2, 0.5, 0.5) == pytest.approx(1 / 12, abs=1e-15)
-        assert dlaplace_pmf(-2, 0.5, 0.5) == pytest.approx(1 / 12, abs=1e-15)
+        for z, want in ((0, 1 / 3), (2, 1 / 12), (-2, 1 / 12)):
+            assert np.exp(_log_pmf(z, 0.5, 0.5)) == pytest.approx(want, abs=1e-15)
 
     def test_symmetry_exact(self):
         z = np.arange(0, 40)
         np.testing.assert_array_equal(
-            dlaplace_pmf(z, 0.77, 0.77), dlaplace_pmf(-z, 0.77, 0.77)
+            _log_pmf(z, 0.77, 0.77), _log_pmf(-z, 0.77, 0.77)
         )
 
     def test_truncated_sum_reaches_one(self):
         z = np.arange(-60, 61)
-        assert abs(dlaplace_pmf(z, 0.5, 0.5).sum() - 1.0) <= 1e-12
-
-    def test_rejects_bad_lambda(self):
-        for lam in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ValueError):
-                dlaplace_pmf(0, lam, lam)
+        assert abs(np.exp(_log_pmf(z, 0.5, 0.5)).sum() - 1.0) <= 1e-12
 
 
 class TestDlaplaceMoments:
+    def test_rejects_bad_lambda(self):
+        for lam in (0.0, 1.0, -0.2, 1.3):
+            with pytest.raises(ValueError, match="^lam must lie strictly in"):
+                dlaplace_moments(lam, lam)
+
     def test_half(self):
         mean, var, mean_abs = dlaplace_moments(0.5, 0.5)
         assert mean == 0.0
@@ -183,13 +208,6 @@ class TestDlaplaceMoments:
 
 
 class TestDlaplaceTail:
-    def test_at_zero(self):
-        assert dlaplace_tail(0, 0.5, 0.5) == pytest.approx(2 / 3, abs=1e-15)
-        assert dlaplace_tail(0, 0.5, 0.5, n=1) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_floor_in_threshold(self):
-        assert dlaplace_tail(2.7, 0.5, 0.5) == dlaplace_tail(2.0, 0.5, 0.5)
-
     def test_max_tail_against_monte_carlo(self):
         lam = math.exp(-1)
         mech = calibrate(2.0)
@@ -197,20 +215,9 @@ class TestDlaplaceTail:
         rng = np.random.default_rng(12)
         draws = np.abs(sample_noise(mech, trials * per, rng)).reshape(trials, per)
         hit = float(np.mean(draws.max(axis=1) > 3))
-        p = dlaplace_tail(3, lam, lam, n=per)
+        p = oracles.dlaplace_max_tail(3, lam, per)
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(hit - p) <= 3 * se
-
-    @pytest.mark.parametrize("n", [2.5, True, 0])
-    def test_bad_n_is_rejected(self, n):
-        # not truncated or read as 1: n = 2.5 once gave a tail of 0.637
-        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
-            dlaplace_tail(0, 0.5, 0.5, n=n)
-
-    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0])
-    def test_bad_threshold_is_rejected(self, c):
-        with pytest.raises(ValueError, match="^c must be finite and >= 0, got "):
-            dlaplace_tail(c, 0.5, 0.5)
 
 
 class TestSkewDlaplace:
@@ -232,36 +239,33 @@ class TestSkewDlaplace:
             assert mean_abs == pytest.approx(a1, abs=1e-10)
 
     def test_tail_value(self):
-        assert dlaplace_tail(0, 0.5, 0.25) == pytest.approx(4 / 7, abs=1e-14)
+        # P(|Z| > 0) = 1 - P(0) = 1 - (1 - lam)(1 - mu) / (1 - lam mu)
+        off_zero = 1 - np.exp(_log_pmf(0, 0.5, 0.25))
+        assert off_zero == pytest.approx(4 / 7, abs=1e-14)
 
     def test_pmf_sums_to_one(self):
         z = np.arange(-200, 201)
-        assert dlaplace_pmf(z, 0.6, 0.3).sum() == pytest.approx(1.0, abs=1e-12)
+        total = np.exp(_log_pmf(z, 0.6, 0.3)).sum()
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampleNoise:
     def test_tiny_lambda_gives_zeros(self):
-        mech = NoiseMechanism(
-            "symmetric", 1e-9, 1e-9, epsilon=-2 * math.log(1e-9), sensitivity=2
-        )
+        mech = NoiseMechanism(1e-9, 1e-9, epsilon=-2 * math.log(1e-9), sensitivity=2)
         assert np.all(sample_noise(mech, 100, seed=3) == 0)
 
     def test_empirical_pmf_matches_analytic(self):
         lam = 0.5
-        mech = NoiseMechanism(
-            "symmetric", lam, lam, epsilon=-2 * math.log(lam), sensitivity=2
-        )
+        mech = NoiseMechanism(lam, lam, epsilon=-2 * math.log(lam), sensitivity=2)
         n = 1_000_000
         draws = sample_noise(mech, n, seed=14)
         for z in range(-2, 3):
-            p = dlaplace_pmf(z, lam, lam)
+            p = oracles.dlaplace_pmf_closed_form(z, lam)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(np.mean(draws == z) - p) <= 3 * se
 
     def test_skew_empirical_mean(self):
-        mech = NoiseMechanism(
-            "skew", 0.5, 0.25, epsilon=-2 * math.log(0.25), sensitivity=2
-        )
+        mech = NoiseMechanism(0.5, 0.25, epsilon=-2 * math.log(0.25), sensitivity=2)
         n = 1_000_000
         draws = sample_noise(mech, n, seed=15)
         mean, var, _ = dlaplace_moments(0.5, 0.25)
@@ -272,9 +276,7 @@ class TestSampleNoise:
         rng = np.random.default_rng(16)
         n = 1_000_000
         for lam in rng.uniform(0.2, 0.8, 5):
-            mech = NoiseMechanism(
-                "symmetric", lam, lam, epsilon=-2 * math.log(lam), sensitivity=2
-            )
+            mech = NoiseMechanism(lam, lam, epsilon=-2 * math.log(lam), sensitivity=2)
             draws = sample_noise(mech, n, seed=int(lam * 1e6))
             _, var, _ = dlaplace_moments(lam, lam)
             kurt = oracles.dlaplace_moment_by_series(lam, 4)
@@ -297,9 +299,7 @@ class TestSampleNoise:
 
 class TestReleaseDegrees:
     def test_negligible_noise_is_identity(self):
-        mech = NoiseMechanism(
-            "symmetric", 1e-9, 1e-9, epsilon=-2 * math.log(1e-9), sensitivity=2
-        )
+        mech = NoiseMechanism(1e-9, 1e-9, epsilon=-2 * math.log(1e-9), sensitivity=2)
         d = np.array([5, 7, 3, 9])
         rel = release_degrees(d, mech, seed=1, q=3)
         np.testing.assert_array_equal(rel.d_bar, d)
@@ -338,22 +338,22 @@ class TestReleaseDegrees:
             release_degrees(d, calibrate(30.0), seed=1)
 
     @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["d", "e", "d_bar"])
+    @pytest.mark.parametrize("name", ["d", "e"])
     def test_non_integral_release_field_rejected(self, name, bad):
-        vectors = {"d": [3.0, 4.0], "e": [0.0, 1.0], "d_bar": [3.0, 5.0]}
+        vectors = {"d": [3.0, 4.0], "e": [0.0, 1.0]}
         vectors[name][0] = bad
         with pytest.raises(ValueError, match=f"^{name} must hold integers"):
             DegreeRelease(**vectors, mechanism=calibrate(1.0))
 
     def test_mismatched_vectors_rejected(self):
-        mech = calibrate(1.0)
-        with pytest.raises(ValueError):
-            DegreeRelease(
-                d=np.array([1, 2]),
-                e=np.array([0, 0]),
-                d_bar=np.array([1, 3]),
-                mechanism=mech,
-            )
+        with pytest.raises(ValueError, match="^d and e must have equal length"):
+            DegreeRelease(d=np.array([1, 2]), e=np.array([0]), mechanism=calibrate(1.0))
+
+    def test_d_bar_is_derived(self):
+        rel = DegreeRelease(d=[3, 4], e=[-5, 1], mechanism=calibrate(1.0))
+        assert rel.d_bar.tolist() == [-2, 5] and rel.n == 2
+        rel.e = np.array([0, 0])  # nothing stored can go stale
+        assert rel.d_bar.tolist() == [3, 4]
 
 
 class TestWorstCaseLogRatio:
@@ -378,13 +378,14 @@ class TestWorstCaseLogRatio:
             mech = calibrate(eps)
             ss = np.arange(-25, 26)
             lam = mech.lam
-            logp = np.log(dlaplace_pmf(ss, lam, lam))
+            pmf = oracles.dlaplace_pmf_closed_form
+            logp = np.log(pmf(ss, lam))
             for u1 in (-1, 0, 1):
                 for u2 in (-1, 0, 1):
                     if abs(u1) + abs(u2) != 2:
                         continue
-                    d1 = logp[5:-5] - np.log(dlaplace_pmf(ss[5:-5] - u1, lam, lam))
-                    d2 = logp[5:-5] - np.log(dlaplace_pmf(ss[5:-5] - u2, lam, lam))
+                    d1 = logp[5:-5] - np.log(pmf(ss[5:-5] - u1, lam))
+                    d2 = logp[5:-5] - np.log(pmf(ss[5:-5] - u2, lam))
                     assert np.max(d1[:, None] + d2[None, :]) <= eps + 1e-12
 
     def test_window_precondition(self):
@@ -395,6 +396,31 @@ class TestWorstCaseLogRatio:
         # rejected, not truncated: a window of 3.7 must not run as 3
         with pytest.raises(ValueError, match="window must be an integer, got 3.7"):
             worst_case_log_ratio(calibrate(1.0), window=3.7)
+
+    @pytest.mark.parametrize("sensitivity", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    def test_matches_scan_over_every_shift_pair(self, sensitivity, ratio):
+        # every shift pair of l1 norm 1..delta and every output pair in the
+        # window, by loops: with the package's log-pmf the same subtractions
+        # and maxima give the same bits; with the oracle's pmf, the same value
+        mech = calibrate(3.0, sensitivity, kind="skew", skew_ratio=ratio)
+        window = 8
+        s = np.arange(-window, window + 1)
+
+        def scan(logp):
+            best = -math.inf
+            for u1 in range(-sensitivity, sensitivity + 1):
+                for u2 in range(-sensitivity, sensitivity + 1):
+                    if 0 < abs(u1) + abs(u2) <= sensitivity:
+                        g1 = logp(s) - logp(s - u1)
+                        g2 = logp(s) - logp(s - u2)
+                        best = max(best, float(np.max(g1[:, None] + g2[None, :])))
+            return best
+
+        value = worst_case_log_ratio(mech, window)
+        assert value == scan(lambda z: _log_pmf(z, mech.lam, mech.mu))
+        oracle = scan(lambda z: np.log(oracles.skew_dlaplace_pmf(z, mech.lam, mech.mu)))
+        assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_skew_bounded_by_epsilon(self):
         mech = calibrate(2.0, kind="skew", skew_ratio=2.0)
