@@ -197,6 +197,12 @@ def solve_many(
     """``solve`` for each row of D, a (B, n) array of noisy degree
     sequences, iterated together; the fits come back in row order.
 
+    The batch is checked and laid out once: one row-wise sort gives every
+    row's classes as ``np.unique`` gives them (``_row_classes``), and one
+    padded pass over all rows decides which lie outside the polytope
+    (``_outside_polytope``), searching each row's own classes once.  The
+    classes of the other rows, side by side, are then iterated.
+
     Each sequence takes the steps ``solve`` describes, in groups on one
     schedule each: each round every sequence of a group still iterating
     takes a diagonal step while the group has one left, else a Newton step
@@ -229,37 +235,54 @@ def solve_many(
         raise ValueError("tol must satisfy 0 < tol < inf.")
     n = D.shape[1]
     fits: list = [None] * D.shape[0]
-    rows, d_class, node_class, counts = [], [], [], []
-    for b, d_bar in enumerate(D):
-        d, inverse, c = np.unique(d_bar, return_inverse=True, return_counts=True)
-        broken = _outside_polytope(d, c, inverse, q)
-        if broken.size:
-            outside = np.flatnonzero((d_bar <= 0) | (d_bar >= (n - 1) * (q - 1)))
-            fits[b] = FitResult(
-                status=STATUS_INFEASIBLE,
-                n=n,
-                q=q,
-                tolerance=tol,
-                iterations=0,
-                infeasible_nodes=(outside if outside.size else broken).tolist(),
-            )
-        else:
-            rows.append(b)
-            d_class.append(d)
-            node_class.append(inverse)
-            counts.append(c)
-    if rows:
+    if not fits:
+        return fits
+    d, counts, k, node_class = _row_classes(D)
+    for b, broken in _outside_polytope(d, counts, k, node_class, q).items():
+        outside = np.flatnonzero((D[b] <= 0) | (D[b] >= (n - 1) * (q - 1)))
+        fits[b] = FitResult(
+            status=STATUS_INFEASIBLE,
+            n=n,
+            q=q,
+            tolerance=tol,
+            iterations=0,
+            infeasible_nodes=(outside if outside.size else broken).tolist(),
+        )
+    feasible = np.array([fit is None for fit in fits])
+    if feasible.any():
+        at = feasible.repeat(k)
+        layout = np.flatnonzero(feasible), k[feasible], counts[at], d[at]
         # a candidate point can be non-finite: its residual is then NaN,
         # which rejects it, and the warnings say nothing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for r, fit in _iterate(d_class, counts, node_class, n, q, tol, max_iter):
-                fits[rows[r]] = fit
+            for b, fit in _iterate(*layout, node_class, n, q, tol, max_iter):
+                fits[b] = fit
     return fits
 
 
-def _iterate(d, counts, node_class, n, q, tol, max_iter):
-    """The rounds of ``solve_many`` over feasible sequences r = 0, 1, ...
-    with distinct degrees d[r] and counts counts[r]; yields (r, fit) as
+def _row_classes(D: np.ndarray):
+    """``np.unique(row, return_inverse=True, return_counts=True)`` of every
+    row of D at once, from one sort: the distinct values d and their counts
+    of all rows, laid side by side, each row's number of classes k, and the
+    (B, n) array of every node's class in its row.  Each row is argsorted
+    as ``np.unique`` sorts it alone."""
+    row = np.arange(D.shape[0])[:, None]
+    order = np.argsort(D, axis=1)
+    ranked = D[row, order]
+    new = np.ones(D.shape, dtype=bool)  # where a row's next class starts
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+    rank = np.cumsum(new, axis=1) - 1
+    k = rank[:, -1] + 1
+    node_class = np.empty_like(rank)
+    node_class[row, order] = rank
+    first = np.flatnonzero(new)
+    return ranked.reshape(-1)[first], np.diff(first, append=new.size), k, node_class
+
+
+def _iterate(rows, k, counts, d, node_class, n, q, tol, max_iter):
+    """The rounds of ``solve_many`` over its feasible rows, rows[r] having
+    k[r] classes, with distinct degrees d and counts counts laid side by
+    side and its nodes' classes node_class[rows[r]]; yields (row, fit) as
     each one ends.
 
     A group's schedule is three numbers: the steps taken, the diagonal steps
@@ -271,14 +294,13 @@ def _iterate(d, counts, node_class, n, q, tol, max_iter):
     it splits each half is cut to its own, so no two groups share an array.
     """
 
-    def lay_out(seqs):
-        """The class layout of sequences seqs: their ids and numbers of
-        classes, the classes, the distinct degrees and where each one's
-        classes and pairs start."""
-        k = np.array([d[r].shape[0] for r in seqs])
+    def lay_out(seqs, k, c, d_here):
+        """The class layout of the rows seqs, with k[r] classes each of
+        counts c and distinct degrees d_here side by side: the rows and
+        their numbers of classes, the classes, the distinct degrees and
+        where each one's classes and pairs start."""
         pairs = k * (k - 1) // 2
-        cls = _classes(np.concatenate([counts[r] for r in seqs]), k)
-        d_here = np.concatenate([d[r] for r in seqs])
+        cls = _classes(c, k)
         return seqs, k, cls, d_here, np.cumsum(k) - k, np.cumsum(pairs) - pairs
 
     def evaluate(layout, point):
@@ -295,14 +317,14 @@ def _iterate(d, counts, node_class, n, q, tol, max_iter):
         their own; the state itself if keep selects them all."""
         if keep.all():
             return layout, beta, f, fnorm, var, delta
-        seqs, sizes = layout[:2]
+        seqs, sizes, cls, d_here = layout[:4]
         at = keep.repeat(sizes)
         pairs = np.concatenate((keep.repeat(sizes * (sizes - 1) // 2), at))
-        here = lay_out([r for r, on in zip(seqs, keep.tolist()) if on])
+        here = lay_out(seqs[keep], sizes[keep], cls.c[at], d_here[at])
         return here, beta[at], f[at], fnorm[keep], var[pairs], delta[at]
 
-    layout = lay_out(list(range(len(d))))
-    beta = _one_class_roots(np.concatenate(d), n, q)
+    layout = lay_out(rows, k, counts, d)
+    beta = _one_class_roots(d, n, q)
     f, fnorm, var = evaluate(layout, beta)
     delta = np.zeros(beta.shape[0])
     groups = [(layout, beta, f, fnorm, var, delta, 0, _DIAGONAL_STEPS, 1.0)]
@@ -410,27 +432,51 @@ def _conjugate_gradients(jac, b):
     return _lu(jac, b)
 
 
-def _outside_polytope(d, counts, node_class, q: int) -> np.ndarray:
-    """The nodes S u T of the fewest-node broken inequality of the open
-    polytope (q-1) D_n (Stanley 1991), or an empty array if none breaks:
+def _outside_polytope(d, counts, k, node_class, q: int) -> dict:
+    """Per row of a batch whose degrees break the open polytope (q-1) D_n
+    (Stanley 1991), the nodes S u T of its fewest-node broken inequality:
     sum_S d - sum_T d < (q-1) |S| (n-1-|T|), S and T disjoint, not both
-    empty.  d, counts and node_class are ``np.unique``'s.  For each |S| the
-    tightest has S the top nodes and T the others below (q-1) |S|, so
-    S = the top j classes, T = the bottom i[j], j = 0..K, decide; T is not
-    empty when S is.  At n = 2 this gives the relative interior: tied
-    degrees in (0, q-1).  In float, as (q-1) n^2 can overflow int64."""
-    k, m = d.shape[0], float(q - 1)
-    size = np.concatenate(([0], np.cumsum(counts)))  # nodes in bottom classes
-    mass = np.concatenate(([0.0], np.cumsum(counts * d)))  # and their degrees
-    s, top = size[-1] - size[::-1], mass[-1] - mass[::-1]  # the same, top
-    i = np.minimum(np.searchsorted(d, m * s), k - np.arange(k + 1))
-    i[0] = max(i[0], 1)
-    slack = m * s * (size[-1] - 1 - size[i]) - top + mass[i]
-    broken = np.flatnonzero(slack <= 0)
-    if broken.size:
-        j = broken[np.argmin((s + size[i])[broken])]
-        broken = np.flatnonzero((node_class >= k - j) | (node_class < i[j]))
-    return broken
+    empty.  d, counts, k and node_class are ``_row_classes``'s.  For each
+    |S| the tightest has S the top nodes and T the others below (q-1) |S|,
+    so S = the top j classes, T = the bottom i[j], j = 0..K, decide; T is
+    not empty when S is.  At n = 2 this gives the relative interior: tied
+    degrees in (0, q-1).  In float, as (q-1) n^2 can overflow int64.
+
+    All rows are decided in one pass over (B, K_max + 1) arrays, each row's
+    classes zero-padded at its end: a cumulative sum accumulates in order,
+    so a row's prefix sums are those of the row alone.  Only the search for
+    i[j] runs row by row, O(K log K) each."""
+    n, m = node_class.shape[1], float(q - 1)
+    width = int(k.max()) + 1
+    filled = np.arange(width - 1) < k[:, None]
+    c, cd = np.zeros(filled.shape, counts.dtype), np.zeros(filled.shape)
+    c[filled], cd[filled] = counts, counts * d
+    size = np.zeros((k.shape[0], width), counts.dtype)  # nodes in bottom classes
+    mass = np.zeros(size.shape)  # and their degrees
+    np.cumsum(c, axis=1, out=size[:, 1:])
+    np.cumsum(cd, axis=1, out=mass[:, 1:])
+    row = np.arange(k.shape[0])[:, None]
+    bottom = k[:, None] - np.arange(width)  # classes below the top j; < 0: padding
+    valid = bottom >= 0
+    np.maximum(bottom, 0, out=bottom)
+    s = n - size[row, bottom]  # nodes in the top j classes
+    top = mass[row, k[:, None]] - mass[row, bottom]  # and their degrees
+    ms = m * s
+    i = np.empty(s.shape, dtype=np.intp)
+    ends = np.cumsum(k).tolist()
+    for r, lo, hi in zip(range(len(ends)), [0] + ends, ends):
+        i[r] = np.searchsorted(d[lo:hi], ms[r])
+    np.minimum(i, bottom, out=i)
+    i[:, 0] = np.maximum(i[:, 0], 1)
+    size_i = size[row, i]
+    slack = ms * (n - 1 - size_i) - top + mass[row, i]
+    broken = (slack <= 0) & valid
+    nodes = {}
+    for r in np.flatnonzero(broken.any(axis=1)).tolist():
+        j = np.flatnonzero(broken[r])
+        j = j[np.argmin((s[r] + size_i[r])[j])]
+        nodes[r] = np.flatnonzero((node_class[r] >= k[r] - j) | (node_class[r] < i[r, j]))
+    return nodes
 
 
 def _one_class_roots(d: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -527,10 +573,17 @@ def contrast_ci(fit: FitResult, i, j, level: float = 0.95) -> ConfidenceInterval
             f"node indices must be integers in 0..{fit.n - 1}, got {i!r} and {j!r}."
         )
     _require_converged(fit)
-    z = _z(level)
-    point = fit.alpha_hat[i] - fit.alpha_hat[j]
-    se = np.sqrt(1.0 / fit.v_hat_diag[i] + 1.0 / fit.v_hat_diag[j])
-    return ConfidenceInterval(i, j, point, half_width=z * se, se=se, level=level)
+    a, v = fit.alpha_hat, fit.v_hat_diag
+    point, se, half_width = _contrast(a[i], a[j], v[i], v[j], level)
+    return ConfidenceInterval(i, j, point, half_width=half_width, se=se, level=level)
+
+
+def _contrast(a_i, a_j, v_i, v_j, level: float):
+    """The contrast interval's point a_i - a_j, standard error
+    (1/v_i + 1/v_j)^(1/2) and half-width z * se, entry by entry, from the
+    estimates and plug-in variances of the two nodes."""
+    se = np.sqrt(1.0 / v_i + 1.0 / v_j)
+    return a_i - a_j, se, _z(level) * se
 
 
 def node_intervals(

@@ -11,8 +11,11 @@ separately and excluded from the per-pair statistics.
 
 Child seeds are derived by hashing (master_seed, replication index), so
 replications are order-independent and results are bit-reproducible.
-Replications are drawn one at a time and solved together in chunks
-(``estimator.solve_many``), whose results do not depend on the chunking.
+Replications are run in chunks: a chunk draws its degrees in one pass
+(``model._sample_degrees``, one generator per replication, each drawing
+its own stream), is solved together (``estimator.solve_many``), and the
+intervals of all converged replications are computed in one array pass at
+the end.  No result depends on the chunking.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import contrast_ci, solve_many
+from .estimator import _contrast, solve_many
 from .mechanisms import calibrate, sample_noise
 from .model import _check_q, _integer, _sample_degrees
 
@@ -188,17 +191,21 @@ def _study_setup(l_mode: str, eps_mode: str, n: int):
 
 
 def _noisy_degrees(
-    alpha_star: np.ndarray, q: int, mechanism, seed: np.random.SeedSequence
+    alpha_star: np.ndarray, q: int, mechanism, seeds
 ) -> np.ndarray:
-    """One replication's released degrees: a graph's degrees sampled at the
-    truth, plus noise, from one generator.
+    """The released degrees of the replications with the given child seeds,
+    one row each: a graph's degrees sampled at the truth, plus noise, from
+    one generator per replication.
 
-    Only the degrees are drawn, from the same stream as ``sample_graph``;
-    no edge list is built.
+    Only the degrees are drawn, from the same streams as ``sample_graph``,
+    for the whole chunk at once; no edge list is built.  Each generator then
+    draws its noise.
     """
-    rng = np.random.default_rng(seed)
-    d = _sample_degrees(alpha_star, q, rng)
-    return d + sample_noise(mechanism, d.shape[0], rng)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    D = _sample_degrees(alpha_star, q, rngs)
+    for d, rng in zip(D, rngs):
+        d += sample_noise(mechanism, D.shape[1], rng)
+    return D
 
 
 # Replications solved together hold at most this many class pairs,
@@ -216,9 +223,7 @@ def _fits(alpha_star: np.ndarray, q: int, mechanism, seeds):
     chunk = max(1, _PAIR_BUDGET // (n * (n - 1) // 2))
     seeds = iter(seeds)
     while batch := list(itertools.islice(seeds, chunk)):
-        yield from solve_many(
-            [_noisy_degrees(alpha_star, q, mechanism, seed) for seed in batch], q
-        )
+        yield from solve_many(_noisy_degrees(alpha_star, q, mechanism, batch), q)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -228,26 +233,28 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     toward the nonexistence frequency and contribute nothing else.
     """
     alpha_star, mechanism = _study_setup(spec.l_mode, spec.eps_mode, spec.n)
-    i, j = np.array(spec.pairs).T - 1
-    truth = alpha_star[i] - alpha_star[j]
+    p = len(spec.pairs)
+    nodes = np.array(spec.pairs).T.reshape(-1) - 1  # every i, then every j
+    truth = alpha_star[nodes[:p]] - alpha_star[nodes[p:]]
 
-    covered = np.zeros(len(spec.pairs), dtype=np.int64)
-    length_sum = np.zeros(len(spec.pairs))
-    xi_rows = []
-
+    # the tracked estimates and variances of the converged fits, a row each
+    alpha_hat, v_hat = [], []
     seeds = (child_seed(spec.master_seed, rep) for rep in range(spec.reps))
     for fit in _fits(alpha_star, spec.q, mechanism, seeds):
-        if not fit.converged:
-            continue
-        ci = contrast_ci(fit, i, j, spec.level)
-        covered += np.abs(ci.point - truth) <= ci.half_width
-        length_sum += ci.half_width
-        xi_rows.append((ci.point - truth) / ci.se)
+        if fit.converged:
+            alpha_hat.append(fit.alpha_hat[nodes])
+            v_hat.append(fit.v_hat_diag[nodes])
 
-    converged = len(xi_rows)
+    converged = len(alpha_hat)
+    a, v = (np.reshape(x, (converged, 2 * p)) for x in (alpha_hat, v_hat))
+    point, se, half_width = _contrast(a[:, :p], a[:, p:], v[:, :p], v[:, p:], spec.level)
+    covered = (np.abs(point - truth) <= half_width).sum(axis=0)
+    # added in fit order: a cumulative sum accumulates row by row, where a
+    # sum may add a one-pair column pairwise
+    length_sum = np.cumsum(half_width, axis=0)[-1] if converged else np.zeros(p)
     with np.errstate(invalid="ignore"):  # no converged replication gives nan
         coverage, mean_length = covered / converged, length_sum / converged
-    xi = np.reshape(xi_rows, (-1, len(spec.pairs))).T.tolist()
+    xi = ((point - truth) / se).T.tolist()
     return ExperimentResult(
         spec=spec,
         pairs=[

@@ -266,14 +266,18 @@ def release_degrees(
         epsilon-edge DP for neighbours one unit of weight apart on one
         pair, and (q - 1) epsilon-DP for whole-edge neighbours.
     seed:
-        RNG seed recorded in the release provenance.
+        Anything ``numpy.random.default_rng`` accepts but a bool (which
+        raises ValueError).  An integer seed, Python or NumPy, is recorded
+        in the release provenance as an int; any other as None.
     q:
         Weight-class count of the generating graph, recorded for downstream
         fitting.
     """
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must not be a bool, got {seed!r}.")
     d = _integer_array(d, "d")
     e = sample_noise(mechanism, d.shape[0], seed)
-    stored_seed = seed if isinstance(seed, int) else None
+    stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
     return DegreeRelease(d=d, e=e, mechanism=mechanism, seed=stored_seed, q=q)
 
 
@@ -293,9 +297,16 @@ def worst_case_log_ratio(mechanism: NoiseMechanism, window: int = 50) -> float:
 
     zs = np.arange(-window - delta, window + delta + 1)
     logp = _log_pmf(zs, mechanism.lam, mechanism.mu)
-    u = np.arange(-delta, delta + 1)
-    s = np.arange(2 * window + 1) + delta  # outputs -window..window, as indices
-    # each shift's best one-coordinate gain, then the best pair of l1 norm 1..delta
-    gain = np.max(logp[s] - logp[s - u[:, None]], axis=1)
-    l1 = np.abs(u)[:, None] + np.abs(u)
-    return float(np.max((gain[:, None] + gain)[(l1 > 0) & (l1 <= delta)]))
+    size = 2 * window + 1  # outputs -window..window, from index delta on
+    # each shift u's best one-coordinate gain, one shift at a time
+    gain = np.array([
+        np.max(logp[delta : delta + size] - logp[delta - u : delta - u + size])
+        for u in range(-delta, delta + 1)
+    ])
+    # per |u| = a the better of +-a, and the best over |u| <= a; a pair of
+    # l1 norm 1..delta is a >= 1 with a partner of |u| <= delta - a, or
+    # a = 0 with one of |u| >= 1.  Float addition is monotone, so adding a
+    # gain to the partners' maximum gives the maximum of the sums.
+    best = np.maximum(gain[delta:], gain[delta::-1])
+    partner = np.maximum.accumulate(best)[::-1]  # at a: the best of |u| <= delta - a
+    return float(max((best[1:] + partner[1:]).max(), best[0] + best[1:].max()))

@@ -26,16 +26,19 @@ Sampling draws one uniform per pair, in row-major i < j order, and counts
 the pair's cdf thresholds it reaches.  One private core, ``_pair_weights``,
 yields those weights in blocks of whole rows, about 2**16 pairs each, as
 strips: dense arrays of the block's rows, 0 where j <= i, so a pair's
-nodes are its place in its strip.  The thresholds depend only on
-(alpha, q), and every replication of a study samples at the same truth, so
-when they fit a fixed 64 MB budget (q=3 up to n ~ 2900) they are kept in a
-one-slot cache, keyed on q and the bytes of alpha, and a later draw costs
-only its uniforms.  Otherwise each block builds its own thresholds and
-draws its own uniforms, the same stream as one call, so memory stays
-bounded at any n.  Two consumers share the core: ``sample_graph`` keeps
-each block's nonzero pairs, and ``_sample_degrees``, which a study
-replication calls, sums each strip along its rows and down its columns,
-building no edge list.
+nodes are its place in its strip.  The core draws for a sequence of
+generators at once, one strip per generator, each generator drawing the
+stream a lone draw would.  The thresholds depend only on (alpha, q), and
+every replication of a study samples at the same truth, so when they fit a
+fixed 64 MB budget (q=3 up to n ~ 2900) they are kept in a one-slot cache,
+keyed on q and the bytes of alpha, and a later draw costs only its
+uniforms.  Otherwise each block builds its own thresholds and draws its
+own uniforms, the same streams as one call, so memory stays bounded at any
+n.  Two consumers share the core: ``sample_graph`` keeps each block's
+nonzero pairs of one generator, and ``_sample_degrees``, which a study
+calls once per chunk of replications with one generator each, sums every
+generator's strips along their rows and down their columns in one pass
+per block, building no edge list.
 
 Nodes with equal parameters have equal moments, so the degree map and its
 Jacobian are computed over classes of tied nodes: one parameter per class
@@ -219,17 +222,21 @@ def _block_thresholds(a, q: int, r0: int, mask, out=None):
     return cdf
 
 
-def _pair_weights(a: np.ndarray, q: int, rng):
-    """Draw every pair's weight, one uniform per pair in row-major order,
-    and yield them in consecutive blocks of whole rows (r0, strip): the
-    weight of the pair (i, j) of a row i = r0, r0+1, ... is
-    strip[i - r0, j - r0 - 1], and the strip holds 0 where j <= i.
+def _pair_weights(a: np.ndarray, q: int, rngs):
+    """Draw every pair's weight once per generator of rngs, one uniform per
+    pair in row-major order, and yield them in consecutive blocks of whole
+    rows (r0, strips): generator b's weight of the pair (i, j) of a row
+    i = r0, r0+1, ... is strips[b, i - r0, j - r0 - 1], and the strips hold
+    0 where j <= i.
 
-    A pair's weight is the number of its cdf thresholds its uniform reaches.
-    At cached thresholds a draw takes all its uniforms in one call.  Any
-    other draw builds the thresholds and draws the uniforms block by block,
-    the same stream, and caches the thresholds, read-only, if they fit
-    ``_THRESHOLD_BUDGET``.
+    A pair's weight is the number of its cdf thresholds its uniform
+    reaches, added up one threshold at a time.  At cached thresholds each
+    generator fills its row of one (generators, pairs) array of uniforms in
+    one call.  Any other draw builds the thresholds block by block, and each
+    generator draws the block's uniforms in turn: either way a generator
+    draws the stream of a lone call.  The comparisons and the strips then
+    cover every generator at once.  The thresholds are cached, read-only,
+    if they fit ``_THRESHOLD_BUDGET``.
     """
     n = a.shape[0]
     if n < 2:
@@ -247,7 +254,7 @@ def _pair_weights(a: np.ndarray, q: int, rng):
     thresholds = _threshold_cache.get(key)
     cached = thresholds is not None
     if cached:
-        uniforms = rng.random(pairs)
+        uniforms = _uniforms(rngs, pairs)
     else:
         _threshold_cache.clear()
         if 8 * (q - 1) * pairs <= _THRESHOLD_BUDGET:
@@ -257,19 +264,34 @@ def _pair_weights(a: np.ndarray, q: int, rng):
         cols = np.arange(n - 1 - r0, dtype=small)  # of the nodes j = r0+1+c
         mask = cols >= np.arange(r1 - r0, dtype=small)[:, None]
         if cached:
-            reached = uniforms[lo:hi] >= thresholds[:, lo:hi]
+            u, cdf = uniforms[:, lo:hi], thresholds[:, lo:hi]
         else:
             out = None if thresholds is None else thresholds[:, lo:hi]
             # thresholds first: holding the uniforms while their temporaries
             # come and go, malloc maps those anew (2x the time at n=4000)
             cdf = _block_thresholds(a, q, r0, mask, out)
-            reached = rng.random(hi - lo) >= cdf
-        strip = np.zeros(mask.shape, dtype)
-        strip[mask] = reached.sum(axis=0, dtype=dtype)
-        yield r0, strip
+            u = _uniforms(rngs, hi - lo)
+        weights = np.zeros(u.shape, dtype)
+        for threshold in cdf:
+            weights += u >= threshold
+        strips = np.zeros((len(rngs),) + mask.shape, dtype)
+        # one 2-D mask at a time: strips[:, mask] = weights takes ~20x as
+        # long on a block of 2**16 pairs
+        for strip, row in zip(strips, weights):
+            strip[mask] = row
+        yield r0, strips
     if not cached and thresholds is not None:
         thresholds.flags.writeable = False
         _threshold_cache[key] = thresholds
+
+
+def _uniforms(rngs, size: int) -> np.ndarray:
+    """A (generators, size) array of uniforms, row b drawn by rngs[b] in
+    one call."""
+    u = np.empty((len(rngs), size))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return u
 
 
 def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
@@ -280,7 +302,7 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     budget the pairs' cdf thresholds at the last (alpha, q) are cached, so a
     repeated call only draws its uniforms; above it memory stays bounded
     apart from the graph itself.  Neither path changes a draw (see
-    ``_pair_weights``).
+    ``_pair_weights``, of which this is the draw of one generator).
 
     Parameters
     ----------
@@ -296,8 +318,8 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     # each block's nonzero pairs as 4-byte offsets into its strip, which
     # holds fewer than 2**32 entries: at most twice its pairs
     blocks = []
-    for r0, strip in _pair_weights(a, q, np.random.default_rng(seed)):
-        flat = strip.reshape(-1)
+    for r0, strips in _pair_weights(a, q, [np.random.default_rng(seed)]):
+        flat = strips.reshape(-1)
         nonzero = np.flatnonzero(flat)
         blocks.append((r0, nonzero.astype(np.uint32), flat[nonzero]))
     ends = np.cumsum([0] + [offsets.size for _, offsets, _ in blocks]).tolist()
@@ -311,17 +333,20 @@ def sample_graph(alpha, q: int, seed=None) -> WeightedGraph:
     return WeightedGraph(n, q, i, j, w)
 
 
-def _sample_degrees(alpha, q: int, seed=None) -> np.ndarray:
-    """The degrees of ``sample_graph(alpha, q, seed)``, from the same draws,
-    without building the graph: each block's strip is summed along its rows
-    and down its columns."""
+def _sample_degrees(alpha, q: int, rngs) -> np.ndarray:
+    """The degrees of the graph ``sample_graph(alpha, q, rng)`` draws, for
+    each generator rng of rngs in turn, as one row each of a
+    (generators, n) array, from the same draws and without building the
+    graphs: each block's strips are summed along their rows and down their
+    columns, for every generator at once.  Each generator is left where
+    ``sample_graph`` leaves it."""
     a, q = _as_alpha(alpha), _check_q(q)
     n = a.shape[0]
     total = np.min_scalar_type((q - 1) * (n - 1))  # holds any row or column sum
-    d = np.zeros(n, dtype=np.int64)
-    for r0, strip in _pair_weights(a, q, np.random.default_rng(seed)):
-        d[r0 : r0 + strip.shape[0]] += strip.sum(axis=1, dtype=total)
-        d[r0 + 1 :] += strip.sum(axis=0, dtype=total)
+    d = np.zeros((len(rngs), n), dtype=np.int64)
+    for r0, strips in _pair_weights(a, q, rngs):
+        d[:, r0 : r0 + strips.shape[1]] += strips.sum(axis=2, dtype=total)
+        d[:, r0 + 1 :] += strips.sum(axis=1, dtype=total)
     return d
 
 

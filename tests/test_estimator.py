@@ -358,7 +358,7 @@ class TestDegreeClasses:
             return model._class_jacobian(c, pair, own, cells)
 
         monkeypatch.setattr(estimator, "_class_jacobian", counted)
-        fit = solve(_noisy_degrees(alpha_star, 3, mechanism, child_seed(0, 1000, 0)), 3)
+        fit = solve(_noisy_degrees(alpha_star, 3, mechanism, [child_seed(0, 1000, 0)])[0], 3)
         assert fit.converged
         assert len(calls) <= 4
         assert fit.iterations == len(calls) + 2
@@ -612,6 +612,31 @@ class TestSolveMany:
         assert calls == []
         assert [fit.to_dict() for fit in fits] == [fit.to_dict() for fit in solo]
         assert all(fit.converged and fit.iterations > estimator._DIAGONAL_STEPS for fit in fits)
+
+    def test_mixed_verdicts_match_solo_fits(self):
+        # one to five classes a row, so the existence pass pads each row to
+        # a different width: feasible rows, rows with a degree out of range
+        # (0, 4) and rows inside it but outside the polytope, which name
+        # the nodes S u T of their broken inequality
+        d_bars = np.array([
+            [3.9, 3.9, 1.1, 1.1, 1.1],  # 7.8 - 3.3 > 2 * (5-1-3): broken
+            [2.0, 2.5, 1.5, 3.0, 1.0],
+            [0.0, 2.0, 2.0, 2.0, 2.0],  # out of range
+            [2.0, 2.0, 2.0, 2.0, 2.0],
+            [1.0, 1.0, 1.0, 3.0, 3.0],  # 6 - 3 > 2 * (5-1-3): broken
+            [4.0, 1.0, 2.0, 2.0, 3.0],  # out of range
+            [1.5, 2.5, 2.5, 1.5, 2.0],
+            [3.5, 0.5, 0.5, 0.5, 0.5],  # 3.5 - 2 > 1 * (5-1-4): broken
+        ])
+        fits = [fit.to_dict() for fit in solve_many(d_bars, 2)]
+        assert fits == [solve(d, 2).to_dict() for d in d_bars]
+        assert fits == [fit.to_dict() for fit in solve_many(d_bars[::-1], 2)[::-1]]
+        assert [fit["status"] == "converged" for fit in fits] == [
+            oracles.interior_by_enumeration(d, 2) for d in d_bars
+        ]
+        assert [fits[r]["infeasible_nodes"] for r in (0, 2, 4, 5, 7)] == [
+            [0, 1, 2, 3, 4], [0], [0, 1, 2, 3, 4], [0], [0, 1, 2, 3, 4]
+        ]
 
     def test_empty_batch_and_bad_shapes(self):
         assert solve_many(np.empty((0, 4)), 3) == []

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from dpbeta import experiments, model
-from dpbeta.estimator import solve
+from dpbeta.estimator import contrast_ci, solve
 from dpbeta.experiments import (
     ExperimentResult,
     ExperimentSpec,
@@ -340,6 +340,33 @@ class TestChunking:
         monkeypatch.setattr(experiments, "_PAIR_BUDGET", 2**16)
         assert rows == rate_study([20, 30], 3, "sqrtlog", reps=9, master_seed=3)
 
+    @pytest.mark.parametrize("pairs", [None, ((1, 2),)])
+    def test_study_matches_a_loop_over_replications(self, monkeypatch, pairs):
+        # the chunked draw, the batched solve and the one interval pass at
+        # the end give the bits of one replication at a time, with every
+        # sum added in replication order (a single pair too, whose lengths
+        # a pairwise sum would regroup)
+        monkeypatch.setattr(experiments, "_PAIR_BUDGET", 7 * 435)  # chunks of 7
+        spec = ExperimentSpec(n=30, q=3, l_mode="loglog", eps_mode="fixed:2",
+                              reps=150, pairs=pairs, master_seed=5)
+        alpha_star, mechanism = _study_setup(spec.l_mode, spec.eps_mode, spec.n)
+        i, j = np.array(spec.pairs).T - 1
+        truth = alpha_star[i] - alpha_star[j]
+        covered, length_sum, xi = np.zeros(len(i), dtype=np.int64), np.zeros(len(i)), []
+        for rep in range(spec.reps):
+            seed = child_seed(spec.master_seed, rep)
+            fit = solve(_noisy_degrees(alpha_star, spec.q, mechanism, [seed])[0], spec.q)
+            if fit.converged:
+                ci = contrast_ci(fit, i, j, spec.level)
+                covered += np.abs(ci.point - truth) <= ci.half_width
+                length_sum += ci.half_width
+                xi.append((ci.point - truth) / ci.se)
+        result = run_experiment(spec)
+        assert 10 < result.converged == len(xi) < spec.reps
+        for k, summary in enumerate(result.pairs):
+            assert summary.coverage == covered[k] / len(xi)
+            assert summary.mean_length == length_sum[k] / len(xi)
+            assert summary.xi == [float(row[k]) for row in xi]
 
     def test_warm_call_memory(self):
         # n=30, q=3, loglog: many solve groups split, and each half holds
@@ -372,6 +399,6 @@ class TestReplicate:
         monkeypatch.setattr(model.WeightedGraph, "__post_init__", refuse)
         with pytest.raises(AssertionError, match="WeightedGraph"):
             model.sample_graph(alpha, 3, seed=1)
-        fit = solve(_noisy_degrees(alpha, 3, mechanism, seed), 3)
+        fit = solve(_noisy_degrees(alpha, 3, mechanism, [seed])[0], 3)
         assert fit.status == expected.status
         np.testing.assert_array_equal(fit.alpha_hat, expected.alpha_hat)

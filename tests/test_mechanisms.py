@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,23 @@ class TestReleaseDegrees:
         assert debug["d"] == [4, 4, 4]
         assert debug["d_bar"] == [d + e for d, e in zip(debug["d"], debug["e"])]
 
+    @pytest.mark.parametrize("seed", [11, np.int64(11), np.uint8(11), np.int32(11)])
+    def test_integer_seed_is_recorded_as_int(self, seed):
+        # a NumPy integer draws the noise of the same int, and is recorded
+        rel = release_degrees([3, 4, 5], calibrate(1.0), seed=seed)
+        np.testing.assert_array_equal(rel.e, sample_noise(calibrate(1.0), 3, seed=11))
+        assert type(rel.seed) is int and rel.seed == 11
+        assert json.loads(rel.to_json())["seed"] == 11
+
+    def test_other_seeds_are_not_recorded(self):
+        for seed in (None, np.random.default_rng(3), np.random.SeedSequence(3)):
+            assert release_degrees([3, 4, 5], calibrate(1.0), seed=seed).seed is None
+
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True)])
+    def test_bool_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must not be a bool"):
+            release_degrees([3, 4, 5], calibrate(1.0), seed=seed)
+
     @pytest.mark.parametrize("d", [[1.5, 2.7, 3.9], [1, np.nan, 2], [1, np.inf, 2]])
     def test_non_integral_degrees_rejected(self, d):
         # rejected, not truncated: [1.5, 2.7, 3.9] must not be released as [1, 2, 3]
@@ -426,3 +444,62 @@ class TestWorstCaseLogRatio:
         mech = calibrate(2.0, kind="skew", skew_ratio=2.0)
         value = worst_case_log_ratio(mech, 40)
         assert value <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("sensitivity, window, ratio, value", [
+        (1, 2, None, "0x1.4cccccccccccep+0"),
+        (1, 2, 0.9, "0x1.4cccccccccccep+0"),
+        (1, 2, 1.1, "0x1.4ccccccccccd0p+0"),
+        (1, 7, None, "0x1.4ccccccccccd4p+0"),
+        (1, 7, 0.9, "0x1.4ccccccccccd0p+0"),
+        (1, 7, 1.1, "0x1.4ccccccccccd0p+0"),
+        (1, 30, None, "0x1.4cccccccccce0p+0"),
+        (1, 30, 0.9, "0x1.4cccccccccce0p+0"),
+        (1, 30, 1.1, "0x1.4cccccccccce0p+0"),
+        (2, 3, None, "0x1.4ccccccccccd0p+0"),
+        (2, 3, 0.9, "0x1.4ccccccccccd0p+0"),
+        (2, 3, 1.1, "0x1.4ccccccccccd0p+0"),
+        (2, 7, None, "0x1.4ccccccccccd0p+0"),
+        (2, 7, 0.9, "0x1.4ccccccccccd0p+0"),
+        (2, 7, 1.1, "0x1.4ccccccccccd0p+0"),
+        (2, 30, None, "0x1.4cccccccccce0p+0"),
+        (2, 30, 0.9, "0x1.4cccccccccd00p+0"),
+        (2, 30, 1.1, "0x1.4cccccccccce0p+0"),
+        (3, 4, None, "0x1.4cccccccccccfp+0"),
+        (3, 4, 0.9, "0x1.4ccccccccccd0p+0"),
+        (3, 4, 1.1, "0x1.4ccccccccccd0p+0"),
+        (3, 7, None, "0x1.4ccccccccccd0p+0"),
+        (3, 7, 0.9, "0x1.4ccccccccccd0p+0"),
+        (3, 7, 1.1, "0x1.4ccccccccccd0p+0"),
+        (3, 30, None, "0x1.4ccccccccccd0p+0"),
+        (3, 30, 0.9, "0x1.4ccccccccccd0p+0"),
+        (3, 30, 1.1, "0x1.4ccccccccccd0p+0"),
+        (5, 6, None, "0x1.4ccccccccccd0p+0"),
+        (5, 6, 0.9, "0x1.4ccccccccccd2p+0"),
+        (5, 6, 1.1, "0x1.4ccccccccccd0p+0"),
+        (5, 7, None, "0x1.4ccccccccccd0p+0"),
+        (5, 7, 0.9, "0x1.4ccccccccccd4p+0"),
+        (5, 7, 1.1, "0x1.4ccccccccccd2p+0"),
+        (5, 30, None, "0x1.4ccccccccccd8p+0"),
+        (5, 30, 0.9, "0x1.4ccccccccccd8p+0"),
+        (5, 30, 1.1, "0x1.4ccccccccccd8p+0"),
+    ])
+    def test_recorded_values(self, sensitivity, window, ratio, value):
+        # bits recorded from the scan over every shift pair at once, at
+        # epsilon = 1.3, symmetric (ratio None) and skew
+        if ratio is None:
+            mech = calibrate(1.3, sensitivity)
+        else:
+            mech = calibrate(1.3, sensitivity, kind="skew", skew_ratio=ratio)
+        assert worst_case_log_ratio(mech, window).hex() == value
+
+    def test_memory_is_linear_in_the_window(self):
+        # at sensitivity 500 a scan of every shift pair at once held 21 MB
+        mech = calibrate(2.0, 500)
+        tracemalloc.start()
+        try:
+            value = worst_case_log_ratio(mech, 501)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(2.0, abs=1e-10)
+        assert peak < 2**20

@@ -278,7 +278,7 @@ class TestStreamedSampling:
         alpha = truth_profile(n, math.sqrt(math.log(n)))
         tracemalloc.start()
         try:
-            d = model._sample_degrees(alpha, q, seed=1)
+            (d,) = model._sample_degrees(alpha, q, [np.random.default_rng(1)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -309,15 +309,37 @@ class TestSampleDegrees:
             model._threshold_cache.clear()
             self.check_match(n, q)
 
+    @pytest.mark.parametrize("path", ["cached", "streamed"])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("block", [1, 7, 2**16])
+    def test_batch_matches_one_generator_each(self, request, monkeypatch, path, q, block):
+        # a batch of generators gives each the row and the stream position
+        # of a lone draw, from cached thresholds or block by block
+        if path == "streamed":
+            request.getfixturevalue("streamed")
+        monkeypatch.setattr(model, "_BLOCK_PAIRS", block)
+        alpha = np.linspace(-1.0, 2.0, 30)
+        model._threshold_cache.clear()
+        if path == "cached":
+            model._sample_degrees(alpha, q, [np.random.default_rng(99)])
+            assert model._threshold_cache
+        together = [np.random.default_rng(seed) for seed in range(5)]
+        apart = [np.random.default_rng(seed) for seed in range(5)]
+        d = model._sample_degrees(alpha, q, together)
+        for row, rng in zip(d, apart):
+            np.testing.assert_array_equal(row, model._sample_degrees(alpha, q, [rng])[0])
+        assert [rng.random() for rng in together] == [rng.random() for rng in apart]
+
     @staticmethod
     def check_match(n, q):
         alpha = np.linspace(-1.0, 2.0, n)
         pairs = n * (n - 1) // 2
-        for seed in (0, 1, 2002):
-            rng = np.random.default_rng(seed)
-            d = model._sample_degrees(alpha, q, rng)
-            assert d.dtype == np.int64
-            np.testing.assert_array_equal(d, sample_graph(alpha, q, seed).degrees())
+        seeds = (0, 1, 2002)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        d = model._sample_degrees(alpha, q, rngs)
+        assert d.dtype == np.int64 and d.shape == (len(seeds), n)
+        for row, rng, seed in zip(d, rngs, seeds):
+            np.testing.assert_array_equal(row, sample_graph(alpha, q, seed).degrees())
             after = np.random.default_rng(seed)
             after.random(pairs)
             assert rng.random() == after.random()
@@ -326,10 +348,10 @@ class TestSampleDegrees:
         # n = 1000, q = 3 at a cached truth: the uniforms (8 bytes a pair)
         # and one block's weights and strip at a time
         alpha = truth_profile(1000, math.sqrt(math.log(1000)))
-        model._sample_degrees(alpha, 3, seed=1)
+        model._sample_degrees(alpha, 3, [np.random.default_rng(1)])
         tracemalloc.start()
         try:
-            model._sample_degrees(alpha, 3, seed=2)
+            model._sample_degrees(alpha, 3, [np.random.default_rng(2)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -340,7 +362,7 @@ class TestSampleDegrees:
             with pytest.raises(ValueError) as graph_error:
                 sample_graph(alpha, q, seed=1)
             with pytest.raises(ValueError) as degree_error:
-                model._sample_degrees(alpha, q, seed=1)
+                model._sample_degrees(alpha, q, [np.random.default_rng(1)])
             assert str(degree_error.value) == str(graph_error.value)
 
 
