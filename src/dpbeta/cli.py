@@ -1,5 +1,8 @@
 """Command-line surface: generate, release, fit, pipeline, simulate, qq, rate, dpcheck.
 
+``pipeline`` runs its stages here: parse, prune, release, fit, intervals.
+Every CSV table (fit, scatter, simulate, qq, rate) is written here, by one
+writer, ``_write_table``.
 Every command that writes files also writes a ``<output>.manifest.json``
 with its parameters, input digest and output paths, enough to reproduce the
 outputs byte for byte.  The parameters are the parsed flags, with the values
@@ -15,9 +18,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -35,13 +38,7 @@ from .experiments import (
     run_experiment,
     truth_profile,
 )
-from .mechanisms import (
-    DegreeRelease,
-    calibrate,
-    release_degrees,
-    theory_epsilon_floor,
-    worst_case_log_ratio,
-)
+from .mechanisms import calibrate, release_degrees, worst_case_log_ratio
 from .model import _check_q, _integer, sample_graph
 
 EXIT_OK = 0
@@ -53,7 +50,7 @@ SEED_ENV_VAR = "DPBETA_SEED"
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# manifests and tables
 # ---------------------------------------------------------------------------
 
 
@@ -94,81 +91,11 @@ def write_manifest(
     return path
 
 
-# ---------------------------------------------------------------------------
-# pipeline: parse -> prune -> release -> fit -> intervals
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PipelineOutput:
-    """Everything the end-to-end private fit produces.
-
-    Vertex ids are 1-based; ``se`` and ``half_width`` are per pruned node
-    and present only when the fit converged.
-    """
-
-    release: DegreeRelease
-    fit: FitResult
-    se: Optional[np.ndarray]
-    half_width: Optional[np.ndarray]
-    labels: np.ndarray  # original vertex id of each pruned node
-    removed_count: int  # vertices dropped by pruning
-    removed_ranges: list[tuple[int, int]]  # inclusive ranges of those ids
-
-
-def pipeline_fit(
-    path,
-    q: int,
-    epsilon: float,
-    seed: Optional[int],
-    level: float = 0.95,
-    prune: bool = True,
-) -> PipelineOutput:
-    """Run the full private-estimation workflow on an edge-list file."""
-    _z(level)  # a bad level fails before the work, not after the fit
-    graph = parse_edge_list(path, q)
-    if prune:
-        pruned = prune_isolated(graph)
-        graph, labels = pruned.graph, pruned.kept + 1
-        removed_count = pruned.removed_count
-        removed_ranges = [(a + 1, b + 1) for a, b in pruned.removed_ranges]
-    else:
-        labels, removed_count, removed_ranges = np.arange(1, graph.n + 1), 0, []
-
-    mechanism = calibrate(epsilon)
-    release = release_degrees(graph.degrees(), mechanism, seed=seed, q=q)
-    fit = solve(release.d_bar, q)
-    se, half_width = node_intervals(fit, level) if fit.converged else (None, None)
-    return PipelineOutput(
-        release=release,
-        fit=fit,
-        se=se,
-        half_width=half_width,
-        labels=labels,
-        removed_count=removed_count,
-        removed_ranges=removed_ranges,
-    )
-
-
-def _fit_table(out: PipelineOutput) -> str:
-    alpha = out.fit.alpha_hat
-    rows = map(
-        "{},{:.10g},{:.10g},{:.10g},{:.10g},{}".format,
-        out.labels.tolist(),
-        alpha.tolist(),
-        (alpha - out.half_width).tolist(),
-        (alpha + out.half_width).tolist(),
-        out.se.tolist(),
-        out.release.d_bar.tolist(),
-    )
-    return "\n".join(["vertex,alpha_hat,ci_lo,ci_hi,se,degree_noisy", *rows]) + "\n"
-
-
-def _scatter_table(out: PipelineOutput) -> str:
-    rows = map(
-        "{},{:.10g}".format, out.release.d_bar.tolist(), out.fit.alpha_hat.tolist()
-    )
-    return "\n".join(["degree_noisy,alpha_hat", *rows]) + "\n"
+def _write_table(path: Path, header: str, row_format: str, *columns) -> None:
+    """Write a CSV table: the header line, then one line per row, the
+    columns' entries at that row filled into ``row_format``."""
+    rows = map(row_format.format, *(np.asarray(c).tolist() for c in columns))
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +180,7 @@ def _experiment_spec(args, pairs) -> ExperimentSpec:
         l_mode=args.L,
         eps_mode=args.eps,
         reps=args.reps,
-        level=float(args.level),
+        level=args.level,
         pairs=pairs,
         master_seed=args.seed,
     )
@@ -292,7 +219,9 @@ def _fit_exit_code(fit: FitResult, labels, d_bar) -> int:
 
 
 def _check_theory_floor(epsilon: float, n: int) -> None:
-    floor = theory_epsilon_floor(n)
+    """Note a budget below 4 sqrt(log n), the least epsilon the consistency
+    theory assumes; smaller budgets are still accepted."""
+    floor = 4.0 * math.sqrt(math.log(n))
     if epsilon < floor:
         _note(
             f"note: epsilon={epsilon:g} is below the supported-regime floor "
@@ -316,7 +245,15 @@ def _cmd_generate(args) -> int:
     else:
         if args.n is None:
             raise ValueError("--n is required unless --alpha is given.")
+        if args.n < 2:
+            raise ValueError(f"--n must be an integer >= 2, got {args.n}.")
         scale = args.L if args.L is not None else 0.0
+        # the profile's largest entry is n * L / n, and n * L is computed
+        if not math.isfinite(args.n * scale):
+            raise ValueError(
+                f"--L must be finite, with n * L finite too, "
+                f"got {args.L!r} at n={args.n}."
+            )
         alpha = truth_profile(args.n, scale)
     graph = sample_graph(alpha, args.q, args.seed)
     out = Path(args.out)
@@ -381,37 +318,48 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    """parse -> prune -> release -> fit -> intervals, on an edge-list file."""
     args.seed = _seed(args)
-    out = pipeline_fit(
-        args.input,
-        args.q,
-        args.eps,
-        seed=args.seed,
-        level=args.level,
-        prune=args.prune,
+    _z(args.level)  # a bad level fails before the work, not after the fit
+    graph = parse_edge_list(args.input, args.q)
+    labels, removed, count = np.arange(1, graph.n + 1), [], 0  # 1-based ids
+    if args.prune:
+        pruned = prune_isolated(graph)
+        graph, labels = pruned.graph, pruned.kept + 1
+        removed, count = pruned.removed_ranges, pruned.removed_count
+    release = release_degrees(
+        graph.degrees(), calibrate(args.eps), seed=args.seed, q=args.q
     )
-    _check_theory_floor(args.eps, out.fit.n)
-    if out.removed_count:
+    fit = solve(release.d_bar, args.q)
+    _check_theory_floor(args.eps, graph.n)
+    if count:
+        ranges = (str(a + 1) if a == b else f"{a + 1}-{b + 1}" for a, b in removed)
         _note(
-            f"pruned {out.removed_count} zero-degree "
-            f"{'vertex' if out.removed_count == 1 else 'vertices'}: "
-            + ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out.removed_ranges)
+            f"pruned {count} zero-degree {'vertex' if count == 1 else 'vertices'}: "
+            + ", ".join(ranges)
         )
 
     prefix = Path(args.out_prefix)
     release_path = Path(str(prefix) + "_release.json")
-    release_path.write_text(out.release.to_json() + "\n", encoding="utf-8")
+    release_path.write_text(release.to_json() + "\n", encoding="utf-8")
     outputs = [release_path]
 
-    if out.fit.converged:
+    if fit.converged:
+        se, half_width = node_intervals(fit, args.level)
+        alpha, d_bar = fit.alpha_hat, release.d_bar
         fit_path = Path(str(prefix) + "_fit.csv")
-        fit_path.write_text(_fit_table(out), encoding="utf-8")
+        _write_table(
+            fit_path,
+            "vertex,alpha_hat,ci_lo,ci_hi,se,degree_noisy",
+            "{},{:.10g},{:.10g},{:.10g},{:.10g},{}",
+            labels, alpha, alpha - half_width, alpha + half_width, se, d_bar,
+        )
         scatter_path = Path(str(prefix) + "_scatter.csv")
-        scatter_path.write_text(_scatter_table(out), encoding="utf-8")
+        _write_table(scatter_path, "degree_noisy,alpha_hat", "{},{:.10g}", d_bar, alpha)
         outputs = [fit_path, scatter_path, release_path]
 
     write_manifest("pipeline", _params(args), outputs, input_path=Path(args.input))
-    return _fit_exit_code(out.fit, out.labels, out.release.d_bar)
+    return _fit_exit_code(fit, labels, release.d_bar)
 
 
 def _cmd_simulate(args) -> int:
@@ -420,8 +368,18 @@ def _cmd_simulate(args) -> int:
     spec = _experiment_spec(args, pairs)
     result = run_experiment(spec)
     out = Path(args.out)
-    lines = ["pair_i,pair_j,coverage,mean_len,nonexist,reps"] + result.csv_rows()
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    summaries = result.pairs
+    _write_table(
+        out,
+        "pair_i,pair_j,coverage,mean_len,nonexist,reps",
+        "{},{},{:.10g},{:.10g},{:.10g},{}",
+        [s.pair[0] for s in summaries],
+        [s.pair[1] for s in summaries],
+        [s.coverage for s in summaries],
+        [s.mean_length for s in summaries],
+        [result.nonexistence] * len(summaries),
+        [result.reps_completed] * len(summaries),
+    )
     write_manifest("simulate", spec.to_dict() | {"out": str(out)}, [out])
     return EXIT_OK
 
@@ -440,12 +398,11 @@ def _cmd_qq(args) -> int:
             f"{QQ_MIN_VALUES} are needed; nothing written."
         )
         return EXIT_NONEXISTENT
-    points = qq_points(result, pair[0])
     out = Path(args.out)
-    lines = ["theoretical,empirical"] + [
-        f"{t:.10g},{e:.10g}" for t, e in points
-    ]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    theoretical, empirical = zip(*qq_points(result, pair[0]))
+    _write_table(
+        out, "theoretical,empirical", "{:.10g},{:.10g}", theoretical, empirical
+    )
     write_manifest(
         "qq", spec.to_dict() | {"pair": list(pair[0]), "out": str(out)}, [out]
     )
@@ -468,10 +425,15 @@ def _cmd_rate(args) -> int:
         args.n_list, args.q, args.L, args.eps, reps=args.reps, master_seed=args.seed
     )
     out = Path(args.out)
-    lines = ["n,median_inf_error,converged,reps"] + [
-        f"{r.n},{r.median_inf_error:.10g},{r.converged},{r.reps}" for r in rows
-    ]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        out,
+        "n,median_inf_error,converged,reps",
+        "{},{:.10g},{},{}",
+        [r.n for r in rows],
+        [r.median_inf_error for r in rows],
+        [r.converged for r in rows],
+        [r.reps for r in rows],
+    )
     write_manifest("rate", _params(args), [out])
     return EXIT_OK
 

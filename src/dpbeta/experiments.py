@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimator import _contrast, solve_many
-from .mechanisms import calibrate, sample_noise
+from .mechanisms import _number, calibrate, sample_noise
 from .model import _check_q, _integer, _sample_degrees
 
 L_MODES = ("zero", "loglog", "sqrtlog")
@@ -106,6 +106,7 @@ class ExperimentSpec:
         self.q = _check_q(self.q)
         if self.reps < 1:
             raise ValueError("reps must be >= 1.")
+        self.level = _number(self.level, "level")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie strictly in (0, 1).")
         # validate modes eagerly
@@ -160,17 +161,6 @@ class ExperimentResult:
     nonexistence: float
     reps_completed: int
     converged: int
-
-    def csv_rows(self) -> list[str]:
-        """One row per tracked pair: pair_i,pair_j,coverage,mean_len,nonexist,reps."""
-        rows = []
-        for p in self.pairs:
-            rows.append(
-                f"{p.pair[0]},{p.pair[1]},{p.coverage:.10g},"
-                f"{p.mean_length:.10g},{self.nonexistence:.10g},"
-                f"{self.reps_completed}"
-            )
-        return rows
 
     def pair_summary(self, pair: tuple[int, int]) -> PairSummary:
         for p in self.pairs:

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _integer, _integer_array
+from .model import _check_q, _integer, _integer_array
 
 DEGREE_SENSITIVITY = 2
 
@@ -132,18 +132,6 @@ def _number(value, name: str) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise CalibrationError(f"{name} must be a number, got {value!r}.")
-
-
-def theory_epsilon_floor(n: int) -> float:
-    """Smallest epsilon for which the consistency theory is in force.
-
-    The asymptotic guarantees assume epsilon >= 4 sqrt(log n); smaller
-    budgets are allowed everywhere in this package but are flagged by the
-    CLI as outside the supported regime.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2.")
-    return 4.0 * math.sqrt(math.log(n))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +259,12 @@ def release_degrees(
         in the release provenance as an int; any other as None.
     q:
         Weight-class count of the generating graph, recorded for downstream
-        fitting.
+        fitting: None, or an integer that ``model._check_q`` accepts,
+        recorded as an int.
     """
     if isinstance(seed, (bool, np.bool_)):
         raise ValueError(f"seed must not be a bool, got {seed!r}.")
+    q = None if q is None else _check_q(q)
     d = _integer_array(d, "d")
     e = sample_noise(mechanism, d.shape[0], seed)
     stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dpbeta
 from dpbeta import edgelist
-from dpbeta.cli import main, pipeline_fit
+from dpbeta.cli import main
 from dpbeta.edgelist import (
     DataError,
     EdgeListError,
@@ -22,6 +22,7 @@ from dpbeta.edgelist import (
     write_edge_list,
 )
 from dpbeta.estimator import solve
+from dpbeta.experiments import ExperimentSpec, run_experiment
 from dpbeta.model import WeightedGraph, sample_graph
 
 import oracles
@@ -428,7 +429,23 @@ class TestPruneIsolated:
 
 
 class TestPipelineFit:
-    def test_negligible_noise_matches_noiseless_solve(self, tmp_path):
+    @staticmethod
+    def _run(tmp_path, path, eps, seed):
+        """Run ``dpbeta pipeline`` at q = 3: (exit code, prefix of its files)."""
+        prefix = tmp_path / f"{Path(path).stem}_{seed}"
+        code = main(["pipeline", "--input", str(path), "--q", "3", "--eps", str(eps),
+                     "--seed", str(seed), "--out-prefix", str(prefix)])
+        return code, str(prefix)
+
+    @staticmethod
+    def _fit_columns(prefix):
+        """The fit table's (vertex, alpha_hat, degree_noisy) columns, as text."""
+        lines = Path(prefix + "_fit.csv").read_text().splitlines()
+        assert lines[0] == "vertex,alpha_hat,ci_lo,ci_hi,se,degree_noisy"
+        rows = [line.split(",") for line in lines]
+        return [[row[k] for row in rows[1:]] for k in (0, 1, 5)]
+
+    def test_negligible_noise_matches_noiseless_solve(self, tmp_path, capsys):
         # seed 50 draws degrees (5, 4, 5, 2), on a facet of the degree
         # polytope, so neither fit exists; seed 52 draws an interior graph
         for seed, status in ((50, "nonexistent_infeasible_degree"), (52, "converged")):
@@ -436,21 +453,31 @@ class TestPipelineFit:
             assert g.degrees().min() > 0
             p = tmp_path / f"g{seed}.txt"
             write_edge_list(g, p)
-            out = pipeline_fit(p, q=3, epsilon=100.0, seed=1)  # lambda = e^-50
-            np.testing.assert_array_equal(out.release.d_bar, g.degrees())
+            code, prefix = self._run(tmp_path, p, 100, 1)  # lambda = e^-50
+            release = json.loads(Path(prefix + "_release.json").read_text())
+            assert release["d_bar"] == g.degrees().tolist()
             direct = solve(g.degrees(), 3)
-            assert out.fit.status == direct.status == status
-            assert out.fit.infeasible_nodes == direct.infeasible_nodes
+            assert direct.status == status
+            err = capsys.readouterr().err
             if direct.converged:
-                np.testing.assert_allclose(
-                    out.fit.alpha_hat, direct.alpha_hat, atol=1e-12
+                assert code == 0 and err == ""
+                _, alpha, _ = self._fit_columns(prefix)
+                assert alpha == [f"{a:.10g}" for a in direct.alpha_hat]
+            else:
+                # the joint-polytope note, naming the direct fit's vertices
+                names = ", ".join(str(i + 1) for i in direct.infeasible_nodes)
+                assert code == 3
+                assert err == (
+                    f"estimate does not exist: the noisy degrees of vertices {names} "
+                    "jointly lie outside the degree polytope, though each is in range.\n"
                 )
+                assert not Path(prefix + "_fit.csv").exists()
 
-    def test_zebra_run_is_monotone(self, zebra_path):
-        out = pipeline_fit(zebra_path, q=3, epsilon=1.0, seed=11)
-        assert out.fit.converged
-        d_bar = out.release.d_bar
-        alpha = out.fit.alpha_hat
+    def test_zebra_run_is_monotone(self, tmp_path, zebra_path):
+        code, prefix = self._run(tmp_path, zebra_path, 1, 11)
+        assert code == 0
+        _, alpha, d_bar = self._fit_columns(prefix)
+        alpha, d_bar = np.array(alpha, dtype=float), np.array(d_bar, dtype=int)
         order = np.argsort(d_bar, kind="stable")
         sorted_alpha = alpha[order]
         assert np.all(np.diff(sorted_alpha) >= -1e-9)
@@ -460,10 +487,12 @@ class TestPipelineFit:
             assert np.max(group) - np.min(group) < 1e-8
         assert np.argmax(d_bar) in np.flatnonzero(alpha == alpha.max())
 
-    def test_removed_labels_are_one_based(self, zebra_path):
-        out = pipeline_fit(zebra_path, q=3, epsilon=1.0, seed=11)
-        assert out.removed_count == 1 and out.removed_ranges == [(8, 8)]
-        assert out.labels[0] == 1 and out.labels[7] == 9 and len(out.labels) == 27
+    def test_removed_labels_are_one_based(self, tmp_path, capsys, zebra_path):
+        code, prefix = self._run(tmp_path, zebra_path, 1, 11)
+        assert code == 0
+        assert capsys.readouterr().err.endswith("pruned 1 zero-degree vertex: 8\n")
+        labels, _, _ = self._fit_columns(prefix)
+        assert labels[0] == "1" and labels[7] == "9" and len(labels) == 27
 
 
 class TestCliCommands:
@@ -586,6 +615,19 @@ class TestCliCommands:
                  "--out", str(out2)]
         assert main(rerun) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_simulate_table_has_one_row_per_pair(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--n", "10", "--q", "2", "--reps", "5", "--seed", "1",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "pair_i,pair_j,coverage,mean_len,nonexist,reps"
+        result = run_experiment(ExperimentSpec(n=10, q=2, reps=5, master_seed=1))
+        nonexist = f"{result.nonexistence:.10g}"
+        assert lines[1:] == [
+            f"{i},{j},{s.coverage:.10g},{s.mean_length:.10g},{nonexist},5"
+            for s, (i, j) in zip(result.pairs, [(1, 2), (5, 6), (9, 10)])
+        ]
 
     def test_simulate_with_config_and_override(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -900,6 +942,23 @@ class TestExitCodes:
         assert f"{name} must be an integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command", ["simulate", "qq"])
+    @pytest.mark.parametrize(
+        "level, shown", [([0.9], "[0.9]"), ({"a": 1}, "{'a': 1}"), ("abc", "'abc'"),
+                         (True, "True")],
+        ids=["list", "object", "text", "bool"],
+    )
+    def test_non_numeric_config_level_is_named(
+        self, tmp_path, capsys, command, level, shown
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "q": 3, "reps": 1, "level": level}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        assert main(argv + ["--pair", "1:2"] * (command == "qq")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: level must be a number, got {shown}.\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize(
         "argv, files, env, line",
         [
@@ -913,6 +972,16 @@ class TestExitCodes:
              "error: --n is required unless --alpha is given."),
             (["generate", "--n", "5", "--q", "2"], {}, "x",
              "error: DPBETA_SEED='x' is not an integer."),
+            (["generate", "--n", "-5", "--q", "2"], {}, None,
+             "error: --n must be an integer >= 2, got -5."),
+            (["generate", "--n", "1", "--q", "2"], {}, None,
+             "error: --n must be an integer >= 2, got 1."),
+            (["generate", "--n", "5", "--L", "1e308", "--q", "2"], {}, None,
+             "error: --L must be finite, with n * L finite too, got 1e+308 at n=5."),
+            (["generate", "--n", "5", "--L", "inf", "--q", "2"], {}, None,
+             "error: --L must be finite, with n * L finite too, got inf at n=5."),
+            (["generate", "--n", "5", "--L", "nan", "--q", "2"], {}, None,
+             "error: --L must be finite, with n * L finite too, got nan at n=5."),
             (["simulate", "--n", "20", "--q", "3", "--pairs", "1-2"], {}, None,
              "error: pair '1-2' must look like i:j."),
             (["simulate", "--n", "20", "--q", "3", "--pairs", "a:2"], {}, None,
@@ -948,6 +1017,8 @@ class TestExitCodes:
         ],
         ids=[
             "alpha-list", "alpha-and-L", "n-and-alpha", "no-n-or-alpha", "seed-env",
+            "generate-n-negative", "generate-n-one", "generate-L-overflow",
+            "generate-L-inf", "generate-L-nan",
             "pair-shape", "pair-integers", "no-n", "qq-pairs", "no-n-list",
             "n-list-type", "rate-no-q", "config-pairs-empty", "config-pairs-triple",
             "config-json", "config-object",

@@ -108,6 +108,19 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="n must be >= 3"):
                 ExperimentSpec(n=n, q=2)
 
+    @pytest.mark.parametrize(
+        "level", ["abc", [0.9], {"a": 1}, None, True, np.bool_(False)]
+    )
+    def test_rejects_non_numeric_level(self, level):
+        # named, not a bare TypeError from the range comparison
+        with pytest.raises(ValueError, match="^level must be a number, got "):
+            ExperimentSpec(n=10, q=2, level=level)
+
+    def test_numeric_level_is_stored_as_float(self):
+        for level in ("0.9", np.float32(0.5), 0.9):
+            spec = ExperimentSpec(n=10, q=2, level=level)
+            assert type(spec.level) is float and spec.level == float(level)
+
     @pytest.mark.parametrize("q", [2.5, True, 1, "3"])
     def test_rejects_non_integral_q(self, q):
         with pytest.raises(ValueError, match="q must be an integer"):
@@ -200,15 +213,6 @@ class TestRunExperiment:
             rates[mode] = run_experiment(spec).nonexistence
         assert rates["sqrtlog"] >= rates["loglog"] >= rates["zero"]
         assert rates["sqrtlog"] > 0.0
-
-    def test_csv_rows_shape(self):
-        spec = ExperimentSpec(n=10, q=2, reps=5, master_seed=1)
-        res = run_experiment(spec)
-        rows = res.csv_rows()
-        assert len(rows) == 3
-        first = rows[0].split(",")
-        assert first[0] == "1" and first[1] == "2"
-        assert first[5] == "5"
 
 
 class TestQQPoints:

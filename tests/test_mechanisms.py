@@ -349,6 +349,19 @@ class TestReleaseDegrees:
         with pytest.raises(ValueError, match="^seed must not be a bool"):
             release_degrees([3, 4, 5], calibrate(1.0), seed=seed)
 
+    @pytest.mark.parametrize("q", [3, np.int64(3), np.uint8(3), 3.0])
+    def test_integer_q_is_recorded_as_int(self, q):
+        rel = release_degrees([3, 4, 5], calibrate(1.0), seed=1, q=q)
+        assert type(rel.q) is int and rel.q == 3
+        assert json.loads(rel.to_json())["q"] == 3
+        assert release_degrees([3, 4, 5], calibrate(1.0), seed=1).q is None
+
+    @pytest.mark.parametrize("q", [2.5, "abc", "3", 1, True, np.bool_(True), 65537])
+    def test_bad_q_rejected(self, q):
+        # rejected, not written into the release for a fit to misread
+        with pytest.raises(ValueError, match="^q must be "):
+            release_degrees([3, 4, 5], calibrate(1.0), seed=1, q=q)
+
     @pytest.mark.parametrize("d", [[1.5, 2.7, 3.9], [1, np.nan, 2], [1, np.inf, 2]])
     def test_non_integral_degrees_rejected(self, d):
         # rejected, not truncated: [1.5, 2.7, 3.9] must not be released as [1, 2, 3]
